@@ -29,10 +29,6 @@ let network_conv =
   let print ppf net = Format.pp_print_string ppf (Job.net_name net) in
   Arg.conv (parse, print)
 
-let log2_exact n =
-  let rec go l v = if v = n then Some l else if v > n then None else go (l + 1) (2 * v) in
-  if n < 1 then None else go 0 1
-
 let graph_of = Job.graph_of
 
 let net_arg =
@@ -198,7 +194,7 @@ let bisect_run metrics no_cache deadline net n dot =
          "bisect covers the butterfly families; use 'bw ml --graph SPEC' \
           (heuristic) or 'bw exact --graph SPEC' for fabrics"
      else
-     match log2_exact n with
+     match B.log2_exact n with
     | None -> Error "n must be a power of two"
     | Some _ -> (
         let bracket =
@@ -280,7 +276,7 @@ let expansion_cmd =
 let render_run metrics n dot =
   finishing metrics @@
   handle
-    (match log2_exact n with
+    (match B.log2_exact n with
     | None -> Error "n must be a power of two"
     | Some log_n ->
         let b = B.create ~log_n in
@@ -305,7 +301,7 @@ let render_cmd =
 let route_run metrics n seed =
   finishing metrics @@
   handle
-    (match log2_exact n with
+    (match B.log2_exact n with
     | None -> Error "n must be a power of two"
     | Some log_n ->
         let b = B.create ~log_n in
@@ -344,7 +340,7 @@ let mos_cmd =
 let iosep_run metrics n =
   finishing metrics @@
   handle
-    (match log2_exact n with
+    (match B.log2_exact n with
     | None -> Error "n must be a power of two"
     | Some log_n ->
         let b = B.create ~log_n in
@@ -370,7 +366,7 @@ let iosep_cmd =
 let layout_run metrics n =
   finishing metrics @@
   handle
-    (match log2_exact n with
+    (match B.log2_exact n with
     | None -> Error "n must be a power of two"
     | Some log_n ->
         let b = B.create ~log_n in
@@ -726,7 +722,7 @@ let cache_warm_run metrics max_n =
         ignore (Bfly_core.Bw.ccc nn)
       end;
       ignore (Bfly_mos.Mos_analysis.bw_m2 nn);
-      (match log2_exact nn with
+      (match B.log2_exact nn with
       | Some log_n when log_n >= 2 ->
           ignore (Bfly_cuts.Constructions.best_mos_pullback (B.create ~log_n))
       | _ -> ());

@@ -19,9 +19,11 @@
 #            installed) — plus the perf-docs check: every gate counter
 #            named in test/test_bench_json.ml's gate_fields must appear
 #            backtick-quoted in PERFORMANCE.md
-#   serve    bfly_serve smoke: coalescing, one-shot byte-identity,
-#            admission control, and a concurrent 4-client TCP replay
-#            byte-identical to the sequential one, drained by SIGTERM
+#   serve    bfly_serve smoke: coalescing, one-shot byte-identity, two
+#            jobs on one (memoized) network, a structured error for an
+#            n beyond 2^61, admission control, and a concurrent 4-client
+#            TCP replay byte-identical to the sequential one, drained by
+#            SIGTERM
 #   loadgen  deterministic load replay: committed-baseline gate
 #            (deterministic fields, cross-machine), the data-center
 #            fabric mix against its own committed baseline, self-baseline
@@ -145,8 +147,11 @@ stage_doc() {
 
 # Query-service smoke: a small trace with six duplicate requests must
 # coalesce into one solve ("batch":6 on every copy), the served output
-# must be byte-identical to the one-shot subcommand's stdout, and a
-# shrunken admission bound must produce explicit "overloaded" rejections.
+# must be byte-identical to the one-shot subcommand's stdout, two jobs on
+# one network (one graph, shared through Job.graph_of's memo) must both
+# answer, an n beyond 2^61 must get a structured error instead of a
+# spinning worker, and a shrunken admission bound must produce explicit
+# "overloaded" rejections.
 stage_serve() {
   trace="$scratch/serve-trace.ndjson"
   out="$scratch/serve-out.ndjson"
@@ -158,18 +163,41 @@ stage_serve() {
   done
   echo '{"id":"spec","job":"bw","solver":"spectral","network":"butterfly","n":16}' >> "$trace"
   echo '{"id":"mos","job":"mos","j":8}' >> "$trace"
+  echo '{"id":"net1","job":"bw","solver":"fm","network":"wrapped","n":8,"seed":3}' >> "$trace"
+  echo '{"id":"net2","job":"ee","network":"wrapped","n":8,"k":4,"exact":true}' >> "$trace"
+  echo '{"id":"huge","job":"bw","solver":"kl","network":"butterfly","n":3000000000000000000}' >> "$trace"
   echo '{"id":"stats","job":"stats"}' >> "$trace"
 
-  BFLY_CACHE_DIR="$scratch/serve-cache" dune exec -- bin/bfly_tool.exe serve \
-    < "$trace" > "$out" 2> "$scratch/serve-err.log"
+  # under timeout: a power-of-two test that loops on the huge n would pin
+  # a worker and never drain
+  BFLY_CACHE_DIR="$scratch/serve-cache" timeout 120 dune exec -- \
+    bin/bfly_tool.exe serve < "$trace" > "$out" 2> "$scratch/serve-err.log" || {
+    echo "FAIL: serve exited $? on the smoke trace" >&2
+    cat "$scratch/serve-err.log" "$out" >&2
+    exit 1
+  }
   cat "$scratch/serve-err.log"
 
   ok_count=$(grep -c '"ok":true' "$out")
-  [ "$ok_count" -eq 9 ] || {
-    echo "FAIL: expected 9 ok responses, got $ok_count" >&2
+  [ "$ok_count" -eq 11 ] || {
+    echo "FAIL: expected 11 ok responses, got $ok_count" >&2
     cat "$out" >&2
     exit 1
   }
+  grep -F '"id":"huge","ok":false,"error":"n must be a power of two"' "$out" \
+    > /dev/null || {
+    echo "FAIL: n = 3e18 should answer \"n must be a power of two\"" >&2
+    cat "$out" >&2
+    exit 1
+  }
+  for id in net1 net2; do
+    grep -F "\"id\":\"$id\",\"ok\":true" "$out" | grep -F '"output":"W_8' \
+      > /dev/null || {
+      echo "FAIL: $id on the repeated network W_8 did not answer" >&2
+      cat "$out" >&2
+      exit 1
+    }
+  done
   batch6=$(grep -c '"batch":6' "$out")
   [ "$batch6" -eq 6 ] || {
     echo "FAIL: 6 duplicate requests should coalesce into one solve of width 6 (got $batch6 responses with \"batch\":6)" >&2

@@ -1,15 +1,15 @@
-type node = {
-  digest : string;
-  payload : Codec.payload;
-  mutable prev : node option; (* toward most-recent *)
-  mutable next : node option; (* toward least-recent *)
+type 'a node = {
+  key : string;
+  value : 'a;
+  mutable prev : 'a node option; (* toward most-recent *)
+  mutable next : 'a node option; (* toward least-recent *)
 }
 
-type t = {
+type 'a t = {
   mutable capacity : int;
-  table : (string, node) Hashtbl.t;
-  mutable head : node option; (* most recently used *)
-  mutable tail : node option; (* least recently used *)
+  table : (string, 'a node) Hashtbl.t;
+  mutable head : 'a node option; (* most recently used *)
+  mutable tail : 'a node option; (* least recently used *)
 }
 
 let create ~capacity = { capacity; table = Hashtbl.create 64; head = None; tail = None }
@@ -30,13 +30,13 @@ let push_front t n =
   (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
   t.head <- Some n
 
-let find t digest =
-  match Hashtbl.find_opt t.table digest with
+let find t key =
+  match Hashtbl.find_opt t.table key with
   | None -> None
   | Some n ->
       unlink t n;
       push_front t n;
-      Some n.payload
+      Some n.value
 
 let evict_over t =
   let evicted = ref 0 in
@@ -45,29 +45,29 @@ let evict_over t =
     | None -> Hashtbl.reset t.table (* unreachable: list tracks the table *)
     | Some n ->
         unlink t n;
-        Hashtbl.remove t.table n.digest;
+        Hashtbl.remove t.table n.key;
         incr evicted
   done;
   !evicted
 
-let add t digest payload =
+let add t key value =
   if t.capacity = 0 then 0
   else begin
-    (match Hashtbl.find_opt t.table digest with
-    | Some old -> unlink t old; Hashtbl.remove t.table digest
+    (match Hashtbl.find_opt t.table key with
+    | Some old -> unlink t old; Hashtbl.remove t.table key
     | None -> ());
-    let n = { digest; payload; prev = None; next = None } in
+    let n = { key; value; prev = None; next = None } in
     push_front t n;
-    Hashtbl.replace t.table digest n;
+    Hashtbl.replace t.table key n;
     evict_over t
   end
 
-let remove t digest =
-  match Hashtbl.find_opt t.table digest with
+let remove t key =
+  match Hashtbl.find_opt t.table key with
   | None -> ()
   | Some n ->
       unlink t n;
-      Hashtbl.remove t.table digest
+      Hashtbl.remove t.table key
 
 let length t = Hashtbl.length t.table
 

@@ -1,37 +1,39 @@
-(** Bounded in-memory LRU of decoded cache payloads.
+(** Bounded in-memory LRU keyed by strings.
 
-    The memory tier in front of {!Disk}: recently served entries skip the
-    filesystem (and its re-parse) entirely. Keys are entry digests;
-    values are {!Codec.payload}s, which are immutable — integration sites
-    rebuild fresh witnesses from them on every hit, so shared storage here
-    can never be mutated by a caller.
+    Two users: {!Store}'s memory tier in front of {!Disk}, holding decoded
+    {!Codec.payload}s keyed by entry digest (recently served entries skip
+    the filesystem and its re-parse), and the serving layer's memo of
+    built networks. Values are shared, not copied: store only immutable
+    ones (cache payloads are; integration sites rebuild fresh witnesses
+    from them on every hit).
 
     Exact LRU via an intrusive doubly-linked list: [find], [add] and
-    [remove] are O(1). Not synchronized — {!Store} serializes access. *)
+    [remove] are O(1). Not synchronized — every user serializes access
+    under its own lock ([find] reorders the list too). *)
 
-type t
+type 'a t
 
 (** [create ~capacity] — an empty LRU holding at most [capacity] entries.
     [capacity = 0] makes every operation a no-op. *)
-val create : capacity:int -> t
+val create : capacity:int -> 'a t
 
-(** [find t digest] returns the payload and marks it most recently used. *)
-val find : t -> string -> Codec.payload option
+(** [find t key] returns the value and marks it most recently used. *)
+val find : 'a t -> string -> 'a option
 
-(** [add t digest payload] inserts (or refreshes) the entry and returns
-    how many entries were evicted to make room (0 or 1; more after
+(** [add t key value] inserts (or refreshes) the entry and returns how
+    many entries were evicted to make room (0 or 1; more after
     {!set_capacity} shrinks). *)
-val add : t -> string -> Codec.payload -> int
+val add : 'a t -> string -> 'a -> int
 
 (** Remove one entry if present (used when a hit fails verification). *)
-val remove : t -> string -> unit
+val remove : 'a t -> string -> unit
 
 (** Number of live entries. *)
-val length : t -> int
+val length : 'a t -> int
 
 (** Drop every entry. *)
-val clear : t -> unit
+val clear : 'a t -> unit
 
 (** [set_capacity t k] rebounds the LRU, evicting least-recent entries
     down to the new capacity; returns the number evicted. *)
-val set_capacity : t -> int -> int
+val set_capacity : 'a t -> int -> int

@@ -9,7 +9,7 @@ let c_evict = Metrics.counter "cache.evict"
 let c_verify_fail = Metrics.counter "cache.verify_fail"
 
 let mutex = Mutex.create ()
-let lru = Lru.create ~capacity:0
+let lru : Codec.payload Lru.t = Lru.create ~capacity:0
 
 let locked f =
   Mutex.lock mutex;

@@ -6,18 +6,19 @@
 module G = Bfly_graph.Graph
 module Bitset = Bfly_graph.Bitset
 
+(* [G.iter_edges], not [G.edges]: these two run on every served witness
+   (Invariants), and [G.edges] allocates a fresh pair per edge. *)
 let cut_capacity g side =
-  Array.fold_left
-    (fun acc (u, v) ->
-      if Bitset.mem side u <> Bitset.mem side v then acc + 1 else acc)
-    0 (G.edges g)
+  let c = ref 0 in
+  G.iter_edges g (fun u v ->
+      if Bitset.mem side u <> Bitset.mem side v then incr c);
+  !c
 
 let neighborhood_size g s =
   let n = G.n_nodes g in
   let seen = Array.make n false in
   let count = ref 0 in
-  Array.iter
-    (fun (u, v) ->
+  G.iter_edges g (fun u v ->
       if Bitset.mem s u && (not (Bitset.mem s v)) && not seen.(v) then begin
         seen.(v) <- true;
         incr count
@@ -25,8 +26,7 @@ let neighborhood_size g s =
       if Bitset.mem s v && (not (Bitset.mem s u)) && not seen.(u) then begin
         seen.(u) <- true;
         incr count
-      end)
-    (G.edges g);
+      end);
   !count
 
 let popcount m =

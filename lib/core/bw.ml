@@ -85,9 +85,11 @@ let wrapped n =
   }
 
 let ccc n =
-  let rec log2 l v = if v >= n then l else log2 (l + 1) (2 * v) in
-  let log_n = log2 0 1 in
-  if 1 lsl log_n <> n then invalid_arg "Bw.ccc: n must be a power of two";
+  let log_n =
+    match Butterfly.log2_exact n with
+    | Some l -> l
+    | None -> invalid_arg "Bw.ccc: n must be a power of two"
+  in
   let c = Ccc.create ~log_n in
   let side = Constructions.ccc_dimension_cut c in
   let upper = capacity (Ccc.graph c) side in

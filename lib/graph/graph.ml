@@ -2,69 +2,58 @@ type t = {
   n : int;
   offsets : int array; (* length n+1 *)
   adj : int array; (* length 2m; adj.(offsets.(u)..offsets.(u+1)-1) = nbrs of u *)
-  edge_list : (int * int) array; (* normalized u <= v, with multiplicity *)
   ep_u : int array; (* per edge: (word lsl 6) lor bit of the u endpoint *)
   ep_v : int array; (* per edge: same packing for the v endpoint *)
 }
+(* The packed endpoint arrays are also the edge list: edge e is
+   (unpack ep_u.(e), unpack ep_v.(e)), normalized u <= v, sorted, with
+   multiplicity. No boxed (u, v) array is kept beside them: graphs live
+   on in Job.graph_of's memo, and the tuples were most of a small graph's
+   heap objects. *)
 
 let bpw = Bitset.bits_per_word
 let pack_pos i = ((i / bpw) lsl 6) lor (i mod bpw)
+let unpack_pos p = ((p lsr 6) * bpw) + (p land 63)
 
 (* Largest n for which the packed edge key u*n + v stays within a native int
    (n^2 - 1 <= max_int). Above it we fall back to the tuple sort. *)
 let max_packed_n = 0x3FFFFFFF
 
-(* Sort normalized (u <= v) edges lexicographically. Packing each edge as the
-   int key u*n + v gives exactly the order of polymorphic compare on the
-   tuples (v < n, so key order is lexicographic order) while sorting with the
-   monomorphic int comparison — no polymorphic-compare calls, no per-element
-   indirection. *)
-let sort_edges ~n edge_list =
-  if n > 1 && n <= max_packed_n then begin
-    let m = Array.length edge_list in
-    let keys = Array.make m 0 in
-    for i = 0 to m - 1 do
-      let u, v = Array.unsafe_get edge_list i in
-      Array.unsafe_set keys i ((u * n) + v)
-    done;
-    Array.sort (fun (a : int) b -> compare a b) keys;
-    for i = 0 to m - 1 do
-      let k = Array.unsafe_get keys i in
-      Array.unsafe_set edge_list i (k / n, k mod n)
-    done
-  end
-  else Array.sort compare edge_list
-
-(* Build the CSR structure and packed endpoint arrays from an already
-   normalized and sorted edge list (ownership of the array is taken). *)
-let of_sorted_edge_list ~n edge_list =
+(* Build the CSR structure and packed endpoint arrays from normalized
+   (u <= v) edges (us.(e), vs.(e)), already sorted lexicographically. *)
+let of_sorted ~n us vs =
+  let m = Array.length us in
   let deg = Array.make n 0 in
-  Array.iter
-    (fun (u, v) ->
-      deg.(u) <- deg.(u) + 1;
-      deg.(v) <- deg.(v) + 1)
-    edge_list;
+  for e = 0 to m - 1 do
+    let u = us.(e) and v = vs.(e) in
+    deg.(u) <- deg.(u) + 1;
+    deg.(v) <- deg.(v) + 1
+  done;
   let offsets = Array.make (n + 1) 0 in
   for u = 0 to n - 1 do
     offsets.(u + 1) <- offsets.(u) + deg.(u)
   done;
   let adj = Array.make offsets.(n) 0 in
   let cursor = Array.copy offsets in
-  Array.iter
-    (fun (u, v) ->
-      adj.(cursor.(u)) <- v;
-      cursor.(u) <- cursor.(u) + 1;
-      adj.(cursor.(v)) <- u;
-      cursor.(v) <- cursor.(v) + 1)
-    edge_list;
-  let m = Array.length edge_list in
   let ep_u = Array.make m 0 and ep_v = Array.make m 0 in
-  Array.iteri
-    (fun e (u, v) ->
-      ep_u.(e) <- pack_pos u;
-      ep_v.(e) <- pack_pos v)
-    edge_list;
-  { n; offsets; adj; edge_list; ep_u; ep_v }
+  for e = 0 to m - 1 do
+    let u = us.(e) and v = vs.(e) in
+    adj.(cursor.(u)) <- v;
+    cursor.(u) <- cursor.(u) + 1;
+    adj.(cursor.(v)) <- u;
+    cursor.(v) <- cursor.(v) + 1;
+    ep_u.(e) <- pack_pos u;
+    ep_v.(e) <- pack_pos v
+  done;
+  { n; offsets; adj; ep_u; ep_v }
+
+(* Sort normalized (u <= v) edges packed as the int keys u*n + v: key order
+   is exactly the lexicographic order of the pairs (v < n), sorted with the
+   monomorphic int comparison — no polymorphic-compare calls, no per-element
+   indirection. Takes ownership of [keys]. *)
+let of_keys ~n keys =
+  Array.sort (fun (a : int) b -> compare a b) keys;
+  of_sorted ~n (Array.map (fun k -> k / n) keys) (Array.map (fun k -> k mod n) keys)
 
 let of_edges ~n edges =
   if n < 0 then invalid_arg "Graph.of_edges: negative node count";
@@ -74,16 +63,20 @@ let of_edges ~n edges =
     if u = v then invalid_arg "Graph.of_edges: self-loop"
   in
   Array.iter check edges;
-  let edge_list = Array.map (fun (u, v) -> if u <= v then (u, v) else (v, u)) edges in
-  sort_edges ~n edge_list;
-  of_sorted_edge_list ~n edge_list
+  if n > 1 && n <= max_packed_n then
+    of_keys ~n
+      (Array.map (fun (u, v) -> if u <= v then (u * n) + v else (v * n) + u) edges)
+  else begin
+    let sorted = Array.map (fun (u, v) -> if u <= v then (u, v) else (v, u)) edges in
+    Array.sort compare sorted;
+    of_sorted ~n (Array.map fst sorted) (Array.map snd sorted)
+  end
 
 let of_edge_list ~n edges = of_edges ~n (Array.of_list edges)
 
 (* Endpoint-array constructor: same graph as [of_edges] on the zipped pairs,
-   but skips the intermediate tuple array until after the (int-keyed) sort.
-   Used by the multilevel coarsener, which accumulates coarse edges in two
-   flat int stacks. *)
+   without materializing a tuple array. Used by the multilevel coarsener,
+   which accumulates coarse edges in two flat int stacks. *)
 let of_endpoints ~n ~m us vs =
   if n < 0 then invalid_arg "Graph.of_endpoints: negative node count";
   if m < 0 || m > Array.length us || m > Array.length vs then
@@ -98,14 +91,12 @@ let of_endpoints ~n ~m us vs =
       let u, v = if u <= v then (u, v) else (v, u) in
       Array.unsafe_set keys i ((u * n) + v)
     done;
-    Array.sort (fun (a : int) b -> compare a b) keys;
-    let edge_list = Array.map (fun k -> (k / n, k mod n)) keys in
-    of_sorted_edge_list ~n edge_list
+    of_keys ~n keys
   end
   else of_edges ~n (Array.init m (fun i -> (us.(i), vs.(i))))
 
 let n_nodes g = g.n
-let n_edges g = Array.length g.edge_list
+let n_edges g = Array.length g.ep_u
 let degree g u = g.offsets.(u + 1) - g.offsets.(u)
 
 let max_degree g =
@@ -131,8 +122,14 @@ let fold_neighbors g u init f =
 let neighbors g u =
   Array.sub g.adj g.offsets.(u) (degree g u)
 
-let iter_edges g f = Array.iter (fun (u, v) -> f u v) g.edge_list
-let edges g = Array.copy g.edge_list
+let iter_edges g f =
+  for e = 0 to Array.length g.ep_u - 1 do
+    f (unpack_pos g.ep_u.(e)) (unpack_pos g.ep_v.(e))
+  done
+
+let edges g =
+  Array.init (Array.length g.ep_u) (fun e ->
+      (unpack_pos g.ep_u.(e), unpack_pos g.ep_v.(e)))
 
 (* Word-indexed cut capacity: one branch-free test per edge against the
    side's backing words. The packed endpoint arrays cache each endpoint's
@@ -160,8 +157,12 @@ let mem_edge g u v =
   !found
 
 let is_simple g =
-  let m = Array.length g.edge_list in
-  let rec go i = i >= m - 1 || (g.edge_list.(i) <> g.edge_list.(i + 1) && go (i + 1)) in
+  let m = Array.length g.ep_u in
+  let rec go i =
+    i >= m - 1
+    || ((g.ep_u.(i) <> g.ep_u.(i + 1) || g.ep_v.(i) <> g.ep_v.(i + 1))
+       && go (i + 1))
+  in
   go 0
 
 let induced g nodes =
@@ -178,14 +179,14 @@ let induced g nodes =
 let relabel g p =
   assert (Perm.size p = g.n);
   of_edges ~n:g.n
-    (Array.map (fun (u, v) -> (Perm.apply p u, Perm.apply p v)) g.edge_list)
+    (Array.map (fun (u, v) -> (Perm.apply p u, Perm.apply p v)) (edges g))
 
 let union_disjoint a b =
   let shift = a.n in
-  let eb = Array.map (fun (u, v) -> (u + shift, v + shift)) b.edge_list in
-  of_edges ~n:(a.n + b.n) (Array.append a.edge_list eb)
+  let eb = Array.map (fun (u, v) -> (u + shift, v + shift)) (edges b) in
+  of_edges ~n:(a.n + b.n) (Array.append (edges a) eb)
 
-let equal a b = a.n = b.n && a.edge_list = b.edge_list
+let equal a b = a.n = b.n && a.ep_u = b.ep_u && a.ep_v = b.ep_v
 
 let degree_histogram g =
   let h = Array.make (max_degree g + 1) 0 in

@@ -36,8 +36,10 @@ val max_degree : t -> int
 
 (** The CSR offset array itself (length [n + 1]) — not a copy. Neighbors of
     [u] occupy [csr_adj g].(o.(u) .. o.(u+1) - 1). Borrowed and read-only:
-    mutating it corrupts the graph. Escape hatch for the partitioner inner
-    loops, which cannot afford a closure per neighbor. *)
+    mutating it corrupts the graph — and not only the caller's, since
+    graphs from [Bfly_serve.Job.graph_of] are memoized and shared across
+    requests and domains. Escape hatch for the partitioner inner loops,
+    which cannot afford a closure per neighbor. *)
 val csr_offsets : t -> int array
 
 (** The CSR adjacency array itself (length [2 * n_edges g]) — not a copy.
@@ -64,7 +66,9 @@ val neighbors : t -> int -> int array
     multiplicity), with [u <= v]. *)
 val iter_edges : t -> (int -> int -> unit) -> unit
 
-(** The edges as a fresh array of normalized pairs [(u, v)], [u <= v]. *)
+(** The edges as a fresh array of normalized pairs [(u, v)], [u <= v], in
+    {!iter_edges} order. Allocates one pair per edge (the graph stores
+    its edges packed, not as pairs): loops should use {!iter_edges}. *)
 val edges : t -> (int * int) array
 
 (** [mem_edge g u v] is [true] when at least one [u]–[v] edge exists. *)

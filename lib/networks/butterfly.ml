@@ -21,12 +21,14 @@ let create ~log_n =
   if log_n < 0 then invalid_arg "Butterfly.create: negative dimension";
   { log_n; n = 1 lsl log_n; graph = build_graph log_n }
 
+(* A bit test, not a doubling loop: doubling toward an [n] above 2^61
+   overflows to 0 and never terminates. *)
 let log2_exact n =
-  if n <= 0 then None
-  else begin
-    let rec go l v = if v = n then Some l else if v > n then None else go (l + 1) (v * 2) in
-    go 0 1
+  if n > 0 && n land (n - 1) = 0 then begin
+    let rec go l v = if v = 1 then l else go (l + 1) (v lsr 1) in
+    Some (go 0 n)
   end
+  else None
 
 let of_inputs n =
   match log2_exact n with

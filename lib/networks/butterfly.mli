@@ -15,6 +15,12 @@ type t
     [create ~log_n:0] is the single-node degenerate butterfly. *)
 val create : log_n:int -> t
 
+(** [log2_exact n] is [Some l] when [n = 2^l], [None] otherwise
+    (including [n <= 0]). At most 62 steps for any [n], so it is safe on
+    untrusted integers; every power-of-two check on a network size in the
+    repository goes through it. *)
+val log2_exact : int -> int option
+
 (** [of_inputs n] is [create ~log_n:(log2 n)].
     @raise Invalid_argument when [n] is not a power of two. *)
 val of_inputs : int -> t

@@ -23,8 +23,7 @@ let create ~log_n =
   { log_n; n = 1 lsl log_n; graph = build_graph log_n }
 
 let of_inputs n =
-  let rec log2 l v = if v = n then Some l else if v > n then None else log2 (l + 1) (v * 2) in
-  match log2 0 1 with
+  match Butterfly.log2_exact n with
   | Some log_n when log_n >= 2 -> create ~log_n
   | _ -> invalid_arg "Wrapped.of_inputs: need a power of two with log n >= 2"
 

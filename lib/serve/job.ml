@@ -5,6 +5,7 @@ module Ccc_net = Bfly_networks.Ccc
 module Budget = Bfly_resil.Budget
 module Cancel = Bfly_resil.Cancel
 module Invariants = Bfly_check.Invariants
+module Lru = Bfly_cache.Lru
 
 module Fabric = Bfly_networks.Fabric
 
@@ -78,13 +79,7 @@ let solver_of_string = function
   | s ->
       Error (Printf.sprintf "unknown solver %S (exact|kl|fm|sa|spectral|ml)" s)
 
-let log2_exact n =
-  let rec go l v =
-    if v = n then Some l else if v > n then None else go (l + 1) (2 * v)
-  in
-  if n < 1 then None else go 0 1
-
-let graph_of net n =
+let build_graph net n =
   match net with
   | Fabric spec -> (
       (* the spec fixes the size; [n] is pinned to 0 by the parsers so the
@@ -93,7 +88,7 @@ let graph_of net n =
       | fab -> Ok (Fabric.graph fab, Fabric.name_of fab)
       | exception Invalid_argument m -> Error m)
   | _ -> (
-      match log2_exact n with
+      match B.log2_exact n with
       | None -> Error "n must be a power of two"
       | Some log_n -> (
           match net with
@@ -107,6 +102,36 @@ let graph_of net n =
               else
                 Ok
                   (Ccc_net.graph (Ccc_net.create ~log_n), Printf.sprintf "CCC_%d" n)))
+
+(* Process-wide memo of built networks. A network is a pure function of
+   [(net_name net, n)] — the pair [fingerprint] already treats as naming
+   one graph — and a [G.t] is immutable, so every job on a repeated
+   network can share one. Both bounds are constants: 64 entries leave
+   room for the small networks a served mix keeps repeating, and the size
+   cap keeps a large [n] from pinning memory (the 500–5,000-node fabrics
+   multilevel jobs take are built per job, as before).
+   Builds run outside the lock; a build that loses a race to a concurrent
+   one returns the winner's graph, so callers share a single copy. *)
+let memo_entries = 64
+let memo_max_size = 4096
+let memo : (G.t * string) Lru.t = Lru.create ~capacity:memo_entries
+let memo_lock = Mutex.create ()
+
+let graph_of net n =
+  let key = net_name net ^ "/" ^ string_of_int n in
+  match Mutex.protect memo_lock (fun () -> Lru.find memo key) with
+  | Some hit -> Ok hit
+  | None -> (
+      match build_graph net n with
+      | Ok ((g, _) as built) when G.n_nodes g + G.n_edges g <= memo_max_size ->
+          Ok
+            (Mutex.protect memo_lock (fun () ->
+                 match Lru.find memo key with
+                 | Some first -> first
+                 | None ->
+                     ignore (Lru.add memo key built);
+                     built))
+      | built -> built)
 
 (* ---- fingerprints ---- *)
 

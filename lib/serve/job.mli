@@ -84,7 +84,16 @@ val graph_of : net -> int -> (Bfly_graph.Graph.t * string, string) result
 (** The instance graph and its display name ([B_16], [W_16], [CCC_16], or
     the canonical fabric spec such as [mesh:2x4x8]); errors match the
     CLI's ("n must be a power of two", …). Fabric nets ignore [n] — the
-    spec already fixes the size. *)
+    spec already fixes the size.
+
+    Memoized process-wide on [(net_name net, n)], the pair {!fingerprint}
+    names a graph by (so [mesh:4x5] and [mesh:5x4] are two entries): a
+    repeated network returns the {e same} graph and name to every caller,
+    on every domain — read-only, per the borrowing contract of
+    {!Bfly_graph.Graph.csr_offsets}. Two constant bounds: at most 64
+    entries, least recently used evicted first, and only graphs with
+    nodes + edges <= 4096; larger graphs and errors are built afresh on
+    every call. Thread-safe; builds run outside the memo's lock. *)
 
 val fingerprint : ?deadline:Bfly_resil.Budget.t -> spec -> string
 (** Canonical one-line identity of a [(spec, deadline)] pair. Equal

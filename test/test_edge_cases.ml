@@ -124,6 +124,81 @@ let test_bw_guards () =
     (Invalid_argument "Bw.ccc: n must be a power of two") (fun () ->
       ignore (Bfly_core.Bw.ccc 12))
 
+(* ---- n beyond 2^61 ---- *)
+
+(* Run [f] on its own domain and fail if it has not returned within 5 s:
+   a doubling loop toward such an [n] overflows to 0 and spins forever,
+   and this turns that hang into a failure. *)
+let promptly what f =
+  let result = Atomic.make None in
+  let d =
+    Domain.spawn (fun () ->
+        Atomic.set result (Some (try Ok (f ()) with e -> Error e)))
+  in
+  let deadline = Unix.gettimeofday () +. 5. in
+  let rec wait () =
+    match Atomic.get result with
+    | Some r ->
+        Domain.join d;
+        r
+    | None ->
+        if Unix.gettimeofday () > deadline then
+          Alcotest.failf "%s did not return within 5 s" what
+        else (
+          Unix.sleepf 0.001;
+          wait ())
+  in
+  match wait () with Ok v -> v | Error e -> raise e
+
+let test_huge_n () =
+  let module Job = Bfly_serve.Job in
+  Alcotest.(check (option int)) "2^61" (Some 61) (B.log2_exact (1 lsl 61));
+  Alcotest.(check (option int)) "1" (Some 0) (B.log2_exact 1);
+  List.iter
+    (fun n -> Alcotest.(check (option int)) "not a power" None (B.log2_exact n))
+    [ 0; -8; min_int; 12 ];
+  List.iter
+    (fun n ->
+      let what fn = Printf.sprintf "%s %d" fn n in
+      let raises fn msg f =
+        Alcotest.check_raises (what fn) (Invalid_argument msg) (fun () ->
+            promptly (what fn) (fun () -> ignore (f n)))
+      in
+      Alcotest.(check (option int)) (what "log2_exact") None
+        (promptly (what "log2_exact") (fun () -> B.log2_exact n));
+      List.iter
+        (fun net ->
+          let jobs =
+            [
+              Job.Bw
+                {
+                  solver = Job.Ml;
+                  net;
+                  n;
+                  seed = 1;
+                  restarts = 1;
+                  max_nodes = None;
+                  resume = false;
+                };
+              Job.Expansion { kind = `Ee; net; n; k = 2; exact = true; seed = 1 };
+            ]
+          in
+          List.iter
+            (fun spec ->
+              Alcotest.(check (result string string))
+                (what ("Job.run " ^ Job.net_name net))
+                (Error "n must be a power of two")
+                (promptly (what "Job.run") (fun () -> Job.run spec)))
+            jobs)
+        [ Job.Butterfly; Job.Wrapped; Job.Ccc ];
+      raises "Butterfly.of_inputs" "Butterfly.of_inputs: not a power of two"
+        B.of_inputs;
+      raises "Wrapped.of_inputs"
+        "Wrapped.of_inputs: need a power of two with log n >= 2"
+        Bfly_networks.Wrapped.of_inputs;
+      raises "Bw.ccc" "Bw.ccc: n must be a power of two" Bfly_core.Bw.ccc)
+    [ (1 lsl 61) + 1; 3_000_000_000_000_000_000; max_int ]
+
 let suite =
   [
     case "degenerate B_1" test_b1;
@@ -138,4 +213,5 @@ let suite =
     case "router heavy contention" test_router_heavy_contention;
     case "credit on a level slab" test_credit_on_level_slab;
     case "bracket guards" test_bw_guards;
+    case "n beyond 2^61 errors promptly" test_huge_n;
   ]

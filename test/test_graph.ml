@@ -144,6 +144,32 @@ let prop_bfs_triangle =
       G.iter_edges g (fun u v -> if abs (d.(u) - d.(v)) > 1 then ok := false);
       !ok)
 
+(* The packed endpoint arrays are the graph's only edge list: decoding
+   them must give back exactly the normalized, sorted input with its
+   multiplicity, across 63-bit word boundaries (n up to 200), and the
+   endpoint-array constructor must build the same graph. *)
+let prop_edge_list_roundtrip =
+  qcheck ~count:100 "edges = sorted normalized input (of_edges, of_endpoints)"
+    (seeded QCheck2.Gen.(pair (int_range 2 200) (int_range 0 400)))
+    (fun ((n, m), seed) ->
+      let rng = rng seed in
+      let es =
+        Array.init m (fun _ ->
+            let u = Random.State.int rng n in
+            let v = (u + 1 + Random.State.int rng (n - 1)) mod n in
+            (u, v))
+      in
+      let want = Array.map (fun (u, v) -> (min u v, max u v)) es in
+      Array.sort compare want;
+      let g = G.of_edges ~n es in
+      let seen = ref [] in
+      G.iter_edges g (fun u v -> seen := (u, v) :: !seen);
+      let h = G.of_endpoints ~n ~m (Array.map fst es) (Array.map snd es) in
+      G.edges g = want
+      && Array.of_list (List.rev !seen) = want
+      && G.equal g h
+      && G.edges h = want)
+
 let suite =
   [
     case "counts" test_basic_counts;
@@ -166,4 +192,5 @@ let suite =
     prop_degree_sum;
     prop_boundary_symmetric;
     prop_bfs_triangle;
+    prop_edge_list_roundtrip;
   ]

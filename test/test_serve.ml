@@ -836,6 +836,130 @@ let test_chaos_dispatch () =
     (fun r -> checkb "clean replay ok" true (bool_field (parse_response r) "ok"))
     (replay server [ {|{"job":"mos","j":2}|}; {|{"job":"mos","j":3}|} ])
 
+(* ---- the graph memo behind Job.graph_of ---- *)
+
+let graph_of net n =
+  match Job.graph_of net n with Ok r -> r | Error e -> Alcotest.fail e
+
+let net s =
+  match Job.net_of_string s with Ok net -> net | Error e -> Alcotest.fail e
+
+let same_graph what a b =
+  Alcotest.(check (array int))
+    (what ^ ": csr offsets") (G.csr_offsets a) (G.csr_offsets b);
+  Alcotest.(check (array int)) (what ^ ": csr adjacency") (G.csr_adj a)
+    (G.csr_adj b);
+  Alcotest.(check (array (pair int int))) (what ^ ": edges") (G.edges a)
+    (G.edges b)
+
+(* The size cap is nodes + edges <= 4096, inclusive: a ring of 2048 sits
+   on it, a ring of 2049 (4098) and B_256 (2304 + 4096) are over it. *)
+let test_memo_size_cap () =
+  let g1, name1 = graph_of Job.Butterfly 16 in
+  let g2, name2 = graph_of Job.Butterfly 16 in
+  checkb "repeated network: one shared graph" true (g1 == g2);
+  checkb "and one shared name" true (name1 == name2);
+  let memoized s = fst (graph_of (net s) 0) == fst (graph_of (net s) 0) in
+  checkb "torus:2048 (4096) memoized" true (memoized "torus:2048");
+  checkb "torus:2049 (4098) built fresh" false (memoized "torus:2049");
+  let big1, _ = graph_of Job.Butterfly 256 in
+  let big2, _ = graph_of Job.Butterfly 256 in
+  checkb "B_256 built fresh each time" false (big1 == big2);
+  same_graph "fresh builds of B_256" big1 big2
+
+(* The key is the canonical spelling, so two numberings of one mesh are
+   two entries (they are different graphs, and different cache keys). *)
+let test_memo_fabric_spellings () =
+  let a, name_a = graph_of (net "mesh:4x5") 0 in
+  let b, name_b = graph_of (net "mesh:5x4") 0 in
+  checkb "mesh:4x5 and mesh:5x4 are separate entries" false (a == b);
+  Alcotest.(check string) "mesh:4x5 name" "mesh:4x5" name_a;
+  Alcotest.(check string) "mesh:5x4 name" "mesh:5x4" name_b;
+  checkb "mesh:4x5 memoized" true (a == fst (graph_of (net "mesh:4x5") 0));
+  checkb "mesh:5x4 memoized" true (b == fst (graph_of (net "mesh:5x4") 0))
+
+(* 64 entries: [first] survives 63 more recent networks and is evicted
+   by the 64th. *)
+let test_memo_count_bound () =
+  let spec = "torus:3x7" in
+  let first, _ = graph_of (net spec) 0 in
+  let touch lo hi =
+    for k = lo to hi do
+      ignore (graph_of (net (Printf.sprintf "torus:%d" k)) 0)
+    done
+  in
+  touch 3 65;
+  checkb "kept behind 63 others" true (first == fst (graph_of (net spec) 0));
+  touch 3 66;
+  let again, _ = graph_of (net spec) 0 in
+  checkb "evicted behind 64 others" false (first == again);
+  same_graph "rebuilt after eviction" first again
+
+(* No job kind may mutate the graph it borrows from the memo: after one of
+   each, the shared graph still equals a fresh build. A fresh cache makes
+   every solver really run. *)
+let test_memo_graphs_survive_jobs () =
+  with_fresh_cache @@ fun () ->
+  let mesh_spec =
+    match net "mesh:4x5" with Job.Fabric s -> s | _ -> assert false
+  in
+  let cases =
+    [
+      (Job.Butterfly, 8, Bfly_networks.Butterfly.(graph (create ~log_n:3)));
+      ( Job.Fabric mesh_spec,
+        0,
+        Bfly_networks.Fabric.(graph (create mesh_spec)) );
+    ]
+  in
+  List.iter
+    (fun (net, n, fresh) ->
+      let shared, _ = graph_of net n in
+      let bw solver =
+        Job.Bw
+          {
+            Job.solver;
+            net;
+            n;
+            seed = 3;
+            restarts = 2;
+            max_nodes = None;
+            resume = false;
+          }
+      in
+      let exp kind exact =
+        Job.Expansion { kind; net; n; k = 4; exact; seed = 3 }
+      in
+      List.iter
+        (fun spec ->
+          match Job.run spec with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "%s: %s" (Job.fingerprint spec) e)
+        (List.map bw Job.[ Exact; Kl; Fm; Sa; Spectral; Ml ]
+        @ [ exp `Ee true; exp `Ne true; exp `Ee false; exp `Ne false ]);
+      checkb "jobs ran on the memoized graph" true
+        (shared == fst (graph_of net n));
+      same_graph (Job.net_name net) fresh shared)
+    cases
+
+(* Four domains asking for one unbuilt network at once: every one gets
+   the same graph, whoever's build won. *)
+let test_memo_concurrent () =
+  let net = net "torus:20x20" in
+  let results =
+    List.map Domain.join
+      (List.init 4 (fun _ -> Domain.spawn (fun () -> Job.graph_of net 0)))
+  in
+  let graphs =
+    List.map (function Ok (g, _) -> g | Error e -> Alcotest.fail e) results
+  in
+  let first = List.hd graphs in
+  List.iter
+    (fun g ->
+      same_graph "concurrent graph_of" first g;
+      checkb "one shared graph" true (g == first))
+    graphs;
+  checkb "the memo holds it" true (first == fst (graph_of net 0))
+
 (* Latency reservoir: quantiles are ranks over the recorded window. *)
 let test_latency_quantiles () =
   let l = Latency.create ~capacity:8 () in
@@ -864,6 +988,14 @@ let suite =
       test_fabric_jobs;
     case "solver errors match the one-shot CLI" test_solver_errors;
     case "latency reservoir quantiles" test_latency_quantiles;
+    case "graph memo: shared below the size cap, fresh above"
+      test_memo_size_cap;
+    case "graph memo: fabric spellings are separate entries"
+      test_memo_fabric_spellings;
+    case "graph memo: evicts at 64 entries" test_memo_count_bound;
+    case "graph memo: no job kind mutates a shared graph"
+      test_memo_graphs_survive_jobs;
+    case "graph memo: four domains get one graph" test_memo_concurrent;
     slow_case "concurrent clients over unix socket: ordered, byte-identical"
       test_concurrent_clients_unix;
     slow_case "concurrent clients over tcp: ordered, byte-identical"
