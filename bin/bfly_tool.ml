@@ -1,20 +1,25 @@
 (* Command-line interface to the butterfly-networks library.
 
-   bfly_tool info      <network> <n>       structural summary
+   bfly_tool info      <network> [n]       structural summary
    bfly_tool bisect    <network> <n>       bisection-width bracket
-   bfly_tool bw        <solver> ...        individual bisection solvers
-                       (accepts --graph SPEC for mesh:/torus:/torus3d:/
-                        bcube:/product: data-center fabrics)
-   bfly_tool expansion <network> <n> -k K  expansion values
-   bfly_tool render    <network> <n>       ASCII / DOT rendering
+   bfly_tool bw <solver> <network> [n]     individual bisection solvers
+   bfly_tool expansion <network> [n] -k K  expansion values
+   bfly_tool render    <n>                 ASCII / DOT rendering
    bfly_tool route     <n>                 greedy routing simulation
    bfly_tool serve                         batch query service (NDJSON)
    bfly_tool loadgen --trace FILE          deterministic load replay + gate
    bfly_tool experiments [IDS]             reproduce the paper's tables
 
-   The solver subcommands (bw, expansion, mos) execute through
-   Bfly_serve.Job — the same code path `bfly_tool serve` schedules — so a
-   served response's "output" field is byte-identical to the one-shot
+   A network is butterfly|wrapped|ccc with a power-of-two n, or a
+   data-center fabric spec (mesh:2x4x8, torus:4x4x4, bcube:4x2,
+   product:path2xring3xk4) that fixes its own size, so n is omitted.
+
+   The job vocabulary lives in Bfly_serve.Job. The solver subcommands (bw,
+   expansion, mos) turn the flags the user gave into job fields and hand
+   them to Job.of_fields, the reader `bfly_tool serve` parses requests
+   with; they then print what Job.run returns. Defaults, aliases, the
+   instance rule and every field error are therefore the served ones, and
+   a served response's "output" field is byte-identical to the one-shot
    subcommand's stdout by construction. *)
 
 open Cmdliner
@@ -22,64 +27,40 @@ module G = Bfly_graph.Graph
 module B = Bfly_networks.Butterfly
 module Budget = Bfly_resil.Budget
 module Cancel = Bfly_resil.Cancel
+module Json = Bfly_obs.Json
 module Job = Bfly_serve.Job
 
-let network_conv =
-  let parse s = Result.map_error (fun m -> `Msg m) (Job.net_of_string s) in
-  let print ppf net = Format.pp_print_string ppf (Job.net_name net) in
-  Arg.conv (parse, print)
+let ( let* ) = Result.bind
 
-let graph_of = Job.graph_of
+(* ---- job fields ---- *)
+
+(* A field is passed only when the user gave the flag or argument; Job
+   fills in the rest exactly as it does for a served request. *)
+let json_str = Option.map (fun s -> Json.Str s)
+let json_int = Option.map (fun i -> Json.Int i)
+let json_flag b = if b then Some (Json.Bool true) else None
+
+let lookup fields =
+  let given =
+    List.filter_map (fun (k, v) -> Option.map (fun v -> (k, v)) v) fields
+  in
+  fun k -> List.assoc_opt k given
 
 let net_arg =
-  Arg.(required & pos 0 (some network_conv) None & info [] ~docv:"NETWORK")
-
-let n_arg = Arg.(required & pos 1 (some int) None & info [] ~docv:"N")
-
-(* ---- --graph (product-network fabrics) ---- *)
-
-(* The bw subcommands accept either the classic positional pair
-   (NETWORK N) or [--graph SPEC] naming a data-center fabric whose spec
-   already fixes the size; [n] is pinned to 0 for fabrics so their job
-   fingerprints are canonical. A fabric spec is also accepted positionally
-   (with N omitted). *)
-
-let fabric_conv =
-  let parse s =
-    match Bfly_networks.Fabric.spec_of_string s with
-    | Ok spec -> Ok (Job.Fabric spec)
-    | Error m -> Error (`Msg m)
-  in
-  let print ppf net = Format.pp_print_string ppf (Job.net_name net) in
-  Arg.conv (parse, print)
-
-let graph_arg =
   Arg.(
     value
-    & opt (some fabric_conv) None
-    & info [ "graph" ] ~docv:"SPEC"
+    & pos 0 (some string) None
+    & info [] ~docv:"NETWORK"
         ~doc:
-          "Solve on a product-network fabric instead of a butterfly family: \
-           $(b,mesh:2x4x8), $(b,torus:4x4x4) (alias $(b,torus3d:)), \
-           $(b,bcube:PORTSxLEVELS), or $(b,product:path2xring3xk4). \
-           Replaces the positional NETWORK and N arguments.")
+          "$(b,butterfly), $(b,wrapped) or $(b,ccc) (with N), or a fabric \
+           spec that fixes its own size (N omitted): $(b,mesh:2x4x8), \
+           $(b,torus:4x4x4), $(b,bcube:PORTSxLEVELS), \
+           $(b,product:path2xring3xk4).")
 
-let net_opt_arg =
-  Arg.(value & pos 0 (some network_conv) None & info [] ~docv:"NETWORK")
+let n_arg = Arg.(value & pos 1 (some int) None & info [] ~docv:"N")
 
-let n_opt_arg = Arg.(value & pos 1 (some int) None & info [] ~docv:"N")
-
-let resolve_instance graph net n =
-  match (graph, net, n) with
-  | Some fabric, None, None -> Ok (fabric, 0)
-  | Some _, Some _, _ | Some _, _, Some _ ->
-      Error "--graph replaces the positional NETWORK and N arguments"
-  | None, Some (Job.Fabric _ as fabric), None -> Ok (fabric, 0)
-  | None, Some (Job.Fabric _), Some _ ->
-      Error "omit N for fabric specs (the spec fixes the size)"
-  | None, Some net, Some n -> Ok (net, n)
-  | None, Some _, None -> Error "missing N (required for butterfly families)"
-  | None, None, _ -> Error "specify NETWORK N or --graph SPEC"
+let instance_fields net n = [ ("network", json_str net); ("n", json_int n) ]
+let instance net n = Job.instance (lookup (instance_fields net n))
 
 let handle = function
   | Ok () -> 0
@@ -151,31 +132,32 @@ let supervised deadline f =
   | None -> f ()
   | Some budget -> Cancel.with_ambient (Cancel.create ~budget ()) f
 
-(* The one-shot solver subcommands print exactly what Job.run returns, so
-   `bfly_tool serve` responses match them byte for byte. *)
-let run_job ?deadline spec =
-  match Job.run ?deadline spec with
-  | Ok out ->
-      print_string out;
-      Ok ()
-  | Error e -> Error e
+(* The solver subcommands build their spec with Job.of_fields from the
+   fields the user gave and print exactly what Job.run returns, so `bfly_tool
+   serve` responses match them byte for byte. *)
+let run_job metrics no_cache deadline job fields =
+  set_cache no_cache;
+  finishing metrics @@
+  handle
+    (let* spec = Job.of_fields job (lookup fields) in
+     let* out = Job.run ?deadline spec in
+     Ok (print_string out))
 
 (* ---- info ---- *)
 
 let info_run metrics net n =
   finishing metrics @@
   handle
-    (match graph_of net n with
-    | Error e -> Error e
-    | Ok (g, name) ->
-        Printf.printf "%s: %d nodes, %d edges, max degree %d, diameter %d\n"
-          name (G.n_nodes g) (G.n_edges g) (G.max_degree g)
-          (Bfly_graph.Traverse.diameter g);
-        let h = G.degree_histogram g in
-        Array.iteri
-          (fun d c -> if c > 0 then Printf.printf "  degree %d: %d nodes\n" d c)
-          h;
-        Ok ())
+    (let* net, n = instance net n in
+     let* g, name = Job.graph_of net n in
+     Printf.printf "%s: %d nodes, %d edges, max degree %d, diameter %d\n" name
+       (G.n_nodes g) (G.n_edges g) (G.max_degree g)
+       (Bfly_graph.Traverse.diameter g);
+     let h = G.degree_histogram g in
+     Array.iteri
+       (fun d c -> if c > 0 then Printf.printf "  degree %d: %d nodes\n" d c)
+       h;
+     Ok ())
 
 let info_cmd =
   Cmd.v
@@ -189,12 +171,13 @@ let bisect_run metrics no_cache deadline net n dot =
   finishing metrics @@
   handle @@
   supervised deadline @@ fun () ->
-    (if Job.is_fabric net then
-       Error
-         "bisect covers the butterfly families; use 'bw ml --graph SPEC' \
-          (heuristic) or 'bw exact --graph SPEC' for fabrics"
-     else
-     match B.log2_exact n with
+    let* net, n = instance net n in
+    if Job.is_fabric net then
+      Error
+        "bisect covers the butterfly families; use 'bw ml SPEC' (heuristic) \
+         or 'bw exact SPEC' for fabrics"
+    else
+    match B.log2_exact n with
     | None -> Error "n must be a power of two"
     | Some _ -> (
         let bracket =
@@ -212,10 +195,10 @@ let bisect_run metrics no_cache deadline net n dot =
             (match dot with
             | None -> ()
             | Some file ->
-                let g, _ = Result.get_ok (graph_of net n) in
+                let g, _ = Result.get_ok (Job.graph_of net n) in
                 Bfly_graph.Dot.write ~side:br.Bfly_core.Bw.witness file g;
                 Printf.printf "wrote cut rendering to %s\n" file);
-            Ok ()))
+            Ok ())
 
 let bisect_cmd =
   let dot =
@@ -230,46 +213,36 @@ let bisect_cmd =
 
 (* ---- expansion ---- *)
 
-let expansion_run metrics no_cache deadline net n k exact only seed =
-  set_cache no_cache;
-  finishing metrics @@
-  handle
-    (match
-       match only with
-       | None -> Ok `Both
-       | Some "ee" -> Ok `Ee
-       | Some "ne" -> Ok `Ne
-       | Some other ->
-           Error (Printf.sprintf "--only must be ee or ne, not %s" other)
-     with
-    | Error e -> Error e
-    | Ok kind ->
-        run_job ?deadline
-          (Job.Expansion { kind; net; n; k; exact; seed }))
-
 let expansion_cmd =
-  let k = Arg.(required & opt (some int) None & info [ "k" ] ~docv:"K") in
+  let k = Arg.(value & opt (some int) None & info [ "k" ] ~docv:"K") in
   let exact =
     Arg.(value & flag & info [ "exact" ] ~doc:"Exact enumeration (small instances only).")
   in
   let only =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (enum [ ("ee", "ee"); ("ne", "ne") ])) None
       & info [ "only" ] ~docv:"ee|ne"
           ~doc:"Print only the edge (ee) or node (ne) expansion line.")
   in
   let seed =
     Arg.(
-      value & opt int 1
+      value
+      & opt (some int) None
       & info [ "seed" ] ~docv:"SEED"
           ~doc:"RNG seed for the annealer (ignored with $(b,--exact)).")
+  in
+  let run metrics no_cache deadline net n k exact only seed =
+    run_job metrics no_cache deadline
+      (Option.value only ~default:"expansion")
+      (instance_fields net n
+      @ [ ("k", json_int k); ("exact", json_flag exact); ("seed", json_int seed) ])
   in
   Cmd.v
     (Cmd.info "expansion" ~doc:"Edge/node expansion (Section 4)")
     Term.(
-      const expansion_run $ metrics_arg $ no_cache_arg $ deadline_arg
-      $ net_arg $ n_arg $ k $ exact $ only $ seed)
+      const run $ metrics_arg $ no_cache_arg $ deadline_arg $ net_arg $ n_arg
+      $ k $ exact $ only $ seed)
 
 (* ---- render ---- *)
 
@@ -325,15 +298,14 @@ let route_cmd =
 
 (* ---- mos ---- *)
 
-let mos_run metrics no_cache deadline j =
-  set_cache no_cache;
-  finishing metrics @@ handle (run_job ?deadline (Job.Mos { j }))
-
 let mos_cmd =
-  let j = Arg.(required & pos 0 (some int) None & info [] ~docv:"J") in
+  let j = Arg.(value & pos 0 (some int) None & info [] ~docv:"J") in
+  let run metrics no_cache deadline j =
+    run_job metrics no_cache deadline "mos" [ ("j", json_int j) ]
+  in
   Cmd.v
     (Cmd.info "mos" ~doc:"Mesh-of-stars M2-bisection width (Lemmas 2.17-2.19)")
-    Term.(const mos_run $ metrics_arg $ no_cache_arg $ deadline_arg $ j)
+    Term.(const run $ metrics_arg $ no_cache_arg $ deadline_arg $ j)
 
 (* ---- iosep ---- *)
 
@@ -389,24 +361,17 @@ let layout_cmd =
 
 (* ---- bw ---- *)
 
-let bw_exact_run metrics no_cache graph net n deadline max_nodes resume =
-  set_cache no_cache;
-  finishing metrics @@
-  handle
-    (match resolve_instance graph net n with
-    | Error e -> Error e
-    | Ok (net, n) ->
-        run_job ?deadline
-          (Job.Bw
-             {
-               Job.solver = Job.Exact;
-               net;
-               n;
-               seed = 1;
-               restarts = 1;
-               max_nodes;
-               resume;
-             }))
+(* [bw SOLVER NETWORK [N]]: the subcommand name is the solver field, and
+   [extra] adds the solver's own flags. *)
+let bw_solver_cmd solver ~doc extra =
+  let run metrics no_cache deadline net n extra =
+    run_job metrics no_cache deadline "bw"
+      ((("solver", json_str (Some solver)) :: instance_fields net n) @ extra)
+  in
+  Cmd.v (Cmd.info solver ~doc)
+    Term.(
+      const run $ metrics_arg $ no_cache_arg $ deadline_arg $ net_arg $ n_arg
+      $ extra)
 
 let bw_exact_cmd =
   let max_nodes =
@@ -427,85 +392,39 @@ let bw_exact_cmd =
              in the result cache, exploring only the remaining frontier. \
              The completed value is identical to an uninterrupted run's.")
   in
-  Cmd.v
-    (Cmd.info "exact"
-       ~doc:
-         "Exact bisection width under a budget: runs the supervised \
-          branch-and-bound engine, which returns the exact value — or, if \
-          the deadline or node budget fires first, a certified interval \
-          [lower, upper] with a real witness cut achieving upper, plus a \
-          checkpoint that $(b,--resume) continues from. Every result is \
-          re-validated before being printed.")
-    Term.(
-      const bw_exact_run $ metrics_arg $ no_cache_arg $ graph_arg
-      $ net_opt_arg $ n_opt_arg $ deadline_arg $ max_nodes $ resume)
-
-let seed_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "seed" ] ~docv:"SEED"
-        ~doc:"RNG seed for the heuristic's restarts (deterministic per seed).")
-
-let restarts_arg =
-  Arg.(
-    value & opt int 4
-    & info [ "restarts" ] ~docv:"R"
-        ~doc:"Independent seeded restarts; the best cut found wins.")
-
-let bw_heuristic_run solver metrics no_cache graph net n deadline seed restarts
-    =
-  set_cache no_cache;
-  finishing metrics @@
-  handle
-    (match resolve_instance graph net n with
-    | Error e -> Error e
-    | Ok (net, n) ->
-        run_job ?deadline
-          (Job.Bw
-             {
-               Job.solver;
-               net;
-               n;
-               seed;
-               restarts;
-               max_nodes = None;
-               resume = false;
-             }))
-
-let bw_heuristic_cmd solver ~name ~doc =
-  Cmd.v (Cmd.info name ~doc)
-    Term.(
-      const (bw_heuristic_run solver)
-      $ metrics_arg $ no_cache_arg $ graph_arg $ net_opt_arg $ n_opt_arg
-      $ deadline_arg $ seed_arg $ restarts_arg)
-
-let bw_kl_cmd =
-  bw_heuristic_cmd Job.Kl ~name:"kl"
-    ~doc:"Kernighan-Lin heuristic upper bound on the bisection width"
-
-let bw_fm_cmd =
-  bw_heuristic_cmd Job.Fm ~name:"fm"
-    ~doc:"Fiduccia-Mattheyses heuristic upper bound on the bisection width"
-
-let bw_sa_cmd =
-  bw_heuristic_cmd Job.Sa ~name:"sa"
-    ~doc:"Simulated-annealing heuristic upper bound on the bisection width"
-
-let bw_spectral_cmd =
-  bw_heuristic_cmd Job.Spectral ~name:"spectral"
+  bw_solver_cmd "exact"
     ~doc:
-      "Spectral (Fiedler-vector) heuristic upper bound on the bisection \
-       width; deterministic, so --seed/--restarts are accepted but inert"
+      "Exact bisection width under a budget: runs the supervised \
+       branch-and-bound engine, which returns the exact value — or, if the \
+       deadline or node budget fires first, a certified interval [lower, \
+       upper] with a real witness cut achieving upper, plus a checkpoint \
+       that $(b,--resume) continues from. Every result is re-validated \
+       before being printed."
+    Term.(
+      const (fun max_nodes resume ->
+          [ ("max_nodes", json_int max_nodes); ("resume", json_flag resume) ])
+      $ max_nodes $ resume)
 
-let bw_ml_cmd =
-  bw_heuristic_cmd Job.Ml ~name:"ml"
-    ~doc:
-      "Multilevel heuristic upper bound on the bisection width: heavy-edge \
-       matching coarsens the graph to a few dozen nodes, gain-bucket FM \
-       refines each level under a balance constraint, and seeded restarts \
-       run the V-cycle concurrently. Near-linear per restart, so it scales \
-       to instances (n = 4096 and beyond) where the flat heuristics stop \
-       converging."
+let bw_heuristic_cmd solver ~doc =
+  let seed =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "seed" ] ~docv:"SEED"
+          ~doc:"RNG seed for the heuristic's restarts (deterministic per seed).")
+  in
+  let restarts =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "restarts" ] ~docv:"R"
+          ~doc:"Independent seeded restarts; the best cut found wins.")
+  in
+  bw_solver_cmd solver ~doc
+    Term.(
+      const (fun seed restarts ->
+          [ ("seed", json_int seed); ("restarts", json_int restarts) ])
+      $ seed $ restarts)
 
 let bw_cmd =
   Cmd.group
@@ -513,7 +432,27 @@ let bw_cmd =
        ~doc:
          "Bisection-width solvers with supervision (deadlines, budgets, \
           checkpoint/resume)")
-    [ bw_exact_cmd; bw_kl_cmd; bw_fm_cmd; bw_sa_cmd; bw_spectral_cmd; bw_ml_cmd ]
+    [
+      bw_exact_cmd;
+      bw_heuristic_cmd "kl"
+        ~doc:"Kernighan-Lin heuristic upper bound on the bisection width";
+      bw_heuristic_cmd "fm"
+        ~doc:"Fiduccia-Mattheyses heuristic upper bound on the bisection width";
+      bw_heuristic_cmd "sa"
+        ~doc:"Simulated-annealing heuristic upper bound on the bisection width";
+      bw_heuristic_cmd "spectral"
+        ~doc:
+          "Spectral (Fiedler-vector) heuristic upper bound on the bisection \
+           width; deterministic, so --seed/--restarts are accepted but inert";
+      bw_heuristic_cmd "ml"
+        ~doc:
+          "Multilevel heuristic upper bound on the bisection width: \
+           heavy-edge matching coarsens the graph to a few dozen nodes, \
+           gain-bucket FM refines each level under a balance constraint, and \
+           seeded restarts run the V-cycle concurrently. Near-linear per \
+           restart, so it scales to instances (n = 4096 and beyond) where the \
+           flat heuristics stop converging.";
+    ]
 
 (* ---- check ---- *)
 

@@ -9,6 +9,9 @@
 #
 #   build    dune build
 #   fmt      dune build @fmt (skipped when ocamlformat is not installed)
+#   unused-exports
+#            grep-only: every val in lib/*/*.mli must be named by some
+#            .ml file other than its own module's
 #   runtest  dune runtest (alcotest/qcheck suites, bench+check smoke rules)
 #   check    differential-oracle smoke battery, fixed seed, plus
 #            multilevel and product-network (torus:4x4x4) CLI smokes
@@ -21,9 +24,9 @@
 #            backtick-quoted in PERFORMANCE.md
 #   serve    bfly_serve smoke: coalescing, one-shot byte-identity, two
 #            jobs on one (memoized) network, a structured error for an
-#            n beyond 2^61, admission control, and a concurrent 4-client
-#            TCP replay byte-identical to the sequential one, drained by
-#            SIGTERM
+#            n beyond 2^61, CLI/serve parity on a fabric expansion job,
+#            admission control, and a concurrent 4-client TCP replay
+#            byte-identical to the sequential one, drained by SIGTERM
 #   loadgen  deterministic load replay: committed-baseline gate
 #            (deterministic fields, cross-machine), the data-center
 #            fabric mix against its own committed baseline, self-baseline
@@ -46,7 +49,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-ALL_STAGES="build fmt runtest check chaos doc serve loadgen campaign warm resume compare"
+ALL_STAGES="build fmt unused-exports runtest check chaos doc serve loadgen campaign warm resume compare"
 BASELINE=BENCH_2026-08-08.json
 CAMPAIGN_BASELINE=CAMPAIGN_2026-08-08.json
 LOADGEN_BASELINE=LOADGEN_2026-08-08.json
@@ -81,6 +84,30 @@ stage_fmt() {
   fi
 }
 
+# An interface lists what other modules use. A val that no .ml file names
+# outside its own module is either used only inside it (drop it from the
+# .mli) or not at all (delete it). Word matching over every .ml tree that
+# can reach the libraries; grep only, no build.
+stage_unused_exports() {
+  unused=$(
+    for mli in lib/*/*.mli; do
+      own=${mli%i}
+      sed -n "s/^ *val \([a-z_][A-Za-z0-9_']*\).*/\1/p" "$mli" | sort -u |
+        while read -r name; do
+          grep -rlw --include='*.ml' -e "$name" \
+            lib bin bench perfbench test examples | grep -qvxF "$own" ||
+            echo "  $own: $name"
+        done
+    done
+  )
+  [ -z "$unused" ] || {
+    echo "FAIL: exported but used by no other module:" >&2
+    echo "$unused" >&2
+    exit 1
+  }
+  echo "unused-exports: every val in lib/*/*.mli is used outside its module"
+}
+
 stage_runtest() {
   dune runtest
 }
@@ -98,7 +125,7 @@ stage_check() {
   # product-network smoke: the heuristic on a small 3-D torus must land
   # exactly on the certified closed form 2N/a_max = 32 (the oracle battery
   # above already runs the full sandwich family; this pins the CLI path)
-  out=$(dune exec -- bin/bfly_tool.exe bw ml --graph torus:4x4x4)
+  out=$(dune exec -- bin/bfly_tool.exe bw ml torus:4x4x4)
   echo "$out"
   case $out in
   *"BW <= 32"*) ;;
@@ -150,8 +177,9 @@ stage_doc() {
 # must be byte-identical to the one-shot subcommand's stdout, two jobs on
 # one network (one graph, shared through Job.graph_of's memo) must both
 # answer, an n beyond 2^61 must get a structured error instead of a
-# spinning worker, and a shrunken admission bound must produce explicit
-# "overloaded" rejections.
+# spinning worker, the one-shot CLI must print the served output and the
+# served error for a fabric job, and a shrunken admission bound must
+# produce explicit "overloaded" rejections.
 stage_serve() {
   trace="$scratch/serve-trace.ndjson"
   out="$scratch/serve-out.ndjson"
@@ -212,6 +240,47 @@ stage_serve() {
   grep -F "\"output\":\"$oneshot\\n\"" "$out" > /dev/null || {
     echo "FAIL: served output differs from one-shot '$oneshot'" >&2
     cat "$out" >&2
+    exit 1
+  }
+
+  # CLI/serve parity on a fabric job: the one-shot subcommand reads its
+  # fields with the same Job.of_fields the server parses requests with, so
+  # a fabric spec takes no N and prints the served bytes, and an explicit
+  # N fails with the served message
+  parity="$scratch/serve-parity.ndjson"
+  printf '%s\n' \
+    '{"id":"p1","job":"ee","network":"mesh:3x3","k":4,"exact":true}' \
+    '{"id":"p2","job":"ee","network":"mesh:3x3","n":9,"k":4,"exact":true}' \
+    | BFLY_CACHE_DIR="$scratch/serve-cache" dune exec -- \
+      bin/bfly_tool.exe serve > "$parity" 2> /dev/null
+  oneshot=$(BFLY_CACHE_DIR="$scratch/serve-cache" dune exec -- \
+    bin/bfly_tool.exe expansion mesh:3x3 -k 4 --exact --only ee) || {
+    echo "FAIL: 'expansion mesh:3x3 -k 4' rejected a fabric spec without N" >&2
+    exit 1
+  }
+  grep -F "\"id\":\"p1\",\"ok\":true,\"batch\":1,\"output\":\"$oneshot\\n\"}" \
+    "$parity" > /dev/null || {
+    echo "FAIL: served fabric expansion differs from one-shot '$oneshot'" >&2
+    cat "$parity" >&2
+    exit 1
+  }
+  if err=$(dune exec -- bin/bfly_tool.exe expansion mesh:3x3 9 -k 4 --exact \
+    --only ee 2>&1 > /dev/null); then
+    echo "FAIL: 'expansion mesh:3x3 9' accepted an N for a fabric spec" >&2
+    exit 1
+  fi
+  case $err in
+  "error: field \"n\""*) ;;
+  *)
+    echo "FAIL: 'expansion mesh:3x3 9' printed '$err', not the served n message" >&2
+    exit 1
+    ;;
+  esac
+  json_err=$(printf '%s' "${err#error: }" | sed 's/"/\\"/g')
+  grep -F "\"id\":\"p2\",\"ok\":false,\"error\":\"$json_err\"}" "$parity" \
+    > /dev/null || {
+    echo "FAIL: CLI error '$err' differs from the served one" >&2
+    cat "$parity" >&2
     exit 1
   }
 
@@ -276,7 +345,7 @@ stage_serve() {
     cat "$scratch/serve-tcp.log" >&2
     exit 1
   }
-  echo "serve: coalescing, byte-identity, admission control and TCP drain OK"
+  echo "serve: coalescing, byte-identity, CLI/serve parity, admission control and TCP drain OK"
 }
 
 # Deterministic load replay and the latency regression gate. Three parts:
@@ -468,9 +537,9 @@ summary=""
 for s in $stages; do
   echo "== $s =="
   t0=$(date +%s)
-  "stage_$s"
+  "stage_$(printf '%s' "$s" | tr - _)"
   t1=$(date +%s)
-  summary="$summary$(printf '  %-8s %4ds' "$s" $((t1 - t0)))
+  summary="$summary$(printf '  %-14s %4ds' "$s" $((t1 - t0)))
 "
   # Under GitHub Actions, accumulate the same timings as one markdown
   # table in the job summary. The workflow runs one stage per step, each

@@ -140,9 +140,6 @@ let bits s =
 let get_int p name =
   match List.assoc_opt name p with Some (Int v) -> Some v | _ -> None
 
-let get_str p name =
-  match List.assoc_opt name p with Some (Str s) -> Some s | _ -> None
-
 let get_bits p name ~capacity =
   match List.assoc_opt name p with
   | Some (Bits { capacity = c; elements }) when c = capacity ->

@@ -33,7 +33,6 @@ val decode : string -> payload option
 val bits : Bfly_graph.Bitset.t -> field
 
 val get_int : payload -> string -> int option
-val get_str : payload -> string -> string option
 
 (** [get_bits p name ~capacity] rebuilds the named bitset, additionally
     checking that its stored capacity equals [capacity]. The result is a

@@ -1,5 +1,7 @@
 type t = { solver : string; digest : string; description : string }
 
+(* The library-wide version salt, folded into every key. Bump it whenever
+   a cached solver's semantics change so stale stores self-invalidate. *)
 let code_salt = "bfly-cache/2026-08-06.1"
 
 let make ~solver ~salt ~params ~fingerprint =

@@ -4,7 +4,7 @@
     A key names a {e deterministic computation}, not a stored blob: two
     calls build the same key exactly when the solver, its parameters, the
     canonical instance fingerprint, the per-solver salt and the library's
-    {!code_salt} all agree — and the solvers are deterministic in all of
+    code salt all agree — and the solvers are deterministic in all of
     those (see ARCHITECTURE.md), so equal keys imply equal results.
 
     Digest collisions are guarded twice: the full human-readable
@@ -14,13 +14,10 @@
 
 type t
 
-(** The library-wide version salt, folded into every key. Bump it whenever
-    a cached solver's semantics change so stale stores self-invalidate. *)
-val code_salt : string
-
 (** [make ~solver ~salt ~params ~fingerprint] builds a key.
     [solver] is the dotted call-site id (e.g. ["cuts.exact.bisection_width"]);
-    [salt] versions that call site independently of {!code_salt};
+    [salt] versions that call site independently of the library-wide
+    code salt;
     [params] are human-readable parameter pairs, order-significant;
     [fingerprint] canonically identifies the instance (graph, subset,
     derived seeds, …). *)

@@ -35,6 +35,9 @@ let law_check ~name ~expected g br =
   in
   mk name ok detail
 
+(* Lemma 3.2 on [W_n], [n = 2^log_n]: the [Bfly_core.Bw.wrapped] bracket
+   pins [n] exactly and its witness is a valid bisection of that
+   capacity. *)
 let wrapped_law ~log_n =
   let n = 1 lsl log_n in
   let w = W.create ~log_n in
@@ -42,6 +45,7 @@ let wrapped_law ~log_n =
     ~name:(Printf.sprintf "lemma-3.2/BW(W_%d)=%d" n n)
     ~expected:n (W.graph w) (Bw.wrapped n)
 
+(* Lemma 3.3 on [CCC_n]: bracket pins [n/2], witness valid. *)
 let ccc_law ~log_n =
   let n = 1 lsl log_n in
   let c = Ccc.create ~log_n in
@@ -49,6 +53,11 @@ let ccc_law ~log_n =
     ~name:(Printf.sprintf "lemma-3.3/BW(CCC_%d)=%d" n (n / 2))
     ~expected:(n / 2) (Ccc.graph c) (Bw.ccc n)
 
+(* The [BW(B_n)] sandwich: bracket consistent ([lower <= upper], witness
+   achieves [upper]), Lemma 2.13 mesh-of-stars bound below the bracket,
+   and — for [log_n <= 2], where the level solvers are cheap — the exact
+   value inside the bracket with [min_i BW(B_n, L_i) <= BW(B_n)]
+   (Lemma 2.12). *)
 let butterfly_sandwich ~log_n =
   let n = 1 lsl log_n in
   let b = B.create ~log_n in
@@ -201,6 +210,11 @@ let envelope_ne_butterfly ~log_n ~dim ~with_exact =
     (Printf.sprintf "lower %.2f <= witness %d = 2^%d%s" lower witness_value
        (dim + 1) exact_detail)
 
+(* Section 4 envelopes at the witness sizes [k = (d+1)·2^d] (and sibling
+   pairs [2k]): closed-form lower bounds below the measured witness
+   values, witness values equal to the Lemma 4.1/4.4/4.7/4.10 formulas,
+   credit certificates sound, and (small instances) the exact minimum
+   inside the envelope. [smoke] skips the exponential exact parts. *)
 let expansion_envelopes ~smoke =
   let base =
     [
@@ -251,6 +265,13 @@ let c_sandwich = Bfly_obs.Metrics.counter "product.sandwich.checks"
 
 let product_rng () = Random.State.make [| 0xfab; 0x5eed |]
 
+(* The sandwich oracle on one fabric: certified LB ≤ multilevel
+   heuristic ≤ best dimension-aligned cut, both witnesses re-validated
+   by [Invariants.bisection_cut]; when a closed form covers the
+   instance, additionally LB = constructed = formula; with
+   [~with_exact:true] (small instances only) the exact solver must land
+   inside the sandwich and match the formula. Records the
+   [product.sandwich.checks] counter. *)
 let product_sandwich ?(with_exact = false) spec =
   let fab = Fabric.create spec in
   let g = Fabric.graph fab in

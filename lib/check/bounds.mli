@@ -16,28 +16,6 @@ type check = { name : string; ok : bool; detail : string }
     by [bfly_tool check]. *)
 val check_json : check -> Bfly_obs.Json.t
 
-(** Lemma 3.2 on [W_n], [n = 2^log_n]: the {!Bfly_core.Bw.wrapped} bracket
-    pins [n] exactly and its witness is a valid bisection of that
-    capacity. *)
-val wrapped_law : log_n:int -> check
-
-(** Lemma 3.3 on [CCC_n]: bracket pins [n/2], witness valid. *)
-val ccc_law : log_n:int -> check
-
-(** The [BW(B_n)] sandwich: bracket consistent ([lower <= upper], witness
-    achieves [upper]), Lemma 2.13 mesh-of-stars bound below the bracket,
-    and — for [log_n <= 2], where the level solvers are cheap — the exact
-    value inside the bracket with [min_i BW(B_n, L_i) <= BW(B_n)]
-    (Lemma 2.12). *)
-val butterfly_sandwich : log_n:int -> check list
-
-(** Section 4 envelopes at the witness sizes [k = (d+1)·2^d] (and sibling
-    pairs [2k]): closed-form lower bounds below the measured witness
-    values, witness values equal to the Lemma 4.1/4.4/4.7/4.10 formulas,
-    credit certificates sound, and (small instances) the exact minimum
-    inside the envelope. [smoke] skips the exponential exact parts. *)
-val expansion_envelopes : smoke:bool -> check list
-
 (** {2 Product-network bounds (arXiv:1202.6291)}
 
     Certified bisection bounds for the data-center fabrics of
@@ -88,15 +66,6 @@ val hamming_bounds : ports:int -> levels:int -> product_bound
     factor has a Hamiltonian path, so the same-size mesh is a spanning
     subgraph). *)
 val fabric_bounds : Bfly_networks.Fabric.spec -> product_bound
-
-(** The sandwich oracle on one fabric: certified LB ≤ multilevel
-    heuristic ≤ best dimension-aligned cut, both witnesses re-validated
-    by {!Invariants.bisection_cut}; when a closed form covers the
-    instance, additionally LB = constructed = formula; with
-    [~with_exact:true] (small instances only) the exact solver must land
-    inside the sandwich and match the formula. Records the
-    [product.sandwich.checks] counter. *)
-val product_sandwich : ?with_exact:bool -> Bfly_networks.Fabric.spec -> check
 
 (** [BW(G × K_2) <= min(2·BW(G), |V(G)|)] for even [|V(G)|], and
     [<= |V(G)|] in general (the doubled bisection is unbalanced when

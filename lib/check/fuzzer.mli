@@ -47,10 +47,8 @@ type summary = {
   counterexamples : counterexample list;
 }
 
-(** JSON renderings of the report types, as embedded in the
-    [bfly_tool check] summary document. *)
-
-val counterexample_json : counterexample -> Bfly_obs.Json.t
+(** JSON rendering of a report, as embedded in the [bfly_tool check]
+    summary document. *)
 val summary_json : summary -> Bfly_obs.Json.t
 
 (** [run ?oracles ?chaos ~seed ~rounds ()] — [oracles] defaults to

@@ -40,12 +40,6 @@ let bisection_interval ?u g ~lower ~upper ~witness =
        of exactly that capacity, so BW <= upper holds unconditionally *)
     bisection_cut ?u g ~value:upper ~witness
 
-let outcome_of_supervised ?u g = function
-  | Bfly_cuts.Exact.Complete (value, witness) ->
-      bisection_cut ?u g ~value ~witness
-  | Bfly_cuts.Exact.Interval { lower; upper; witness; reason = _ } ->
-      bisection_interval ?u g ~lower ~upper ~witness
-
 let expansion_witness ~kind g ~k ~value ~witness =
   if Bitset.capacity witness <> G.n_nodes g then
     fail "witness universe %d does not match node count %d"

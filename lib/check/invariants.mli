@@ -45,15 +45,6 @@ val bisection_interval :
   witness:Bfly_graph.Bitset.t ->
   result
 
-(** [outcome_of_supervised ?u g outcome] dispatches a
-    {!Bfly_cuts.Exact.outcome} to {!bisection_cut} ([Complete]) or
-    {!bisection_interval} ([Interval]). *)
-val outcome_of_supervised :
-  ?u:Bfly_graph.Bitset.t ->
-  Bfly_graph.Graph.t ->
-  Bfly_cuts.Exact.outcome ->
-  result
-
 (** [expansion_witness ~kind g ~k ~value ~witness] checks [|witness| = k]
     and that its recounted edge boundary ([`Edge]) or neighborhood size
     ([`Node]) equals [value]. *)

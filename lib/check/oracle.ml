@@ -44,6 +44,8 @@ let make name ~max_nodes body =
   in
   { name; run }
 
+(* [Exact.bisection_width] (parallel branch and bound) against the
+   definitional [Reference.bisection_width]; witness validated. *)
 let exact_vs_reference =
   make "exact_vs_reference" ~max_nodes:14 (fun ~rng:_ g ->
       let v_ref, _ = Reference.bisection_width g in
@@ -51,6 +53,7 @@ let exact_vs_reference =
       if v <> v_ref then fail "branch and bound %d, reference %d" v v_ref
       else of_invariant (Invariants.bisection_cut g ~value:v ~witness))
 
+(* Branch and bound against the pruning-free exhaustive enumerator. *)
 let bb_vs_exhaustive =
   make "bb_vs_exhaustive" ~max_nodes:16 (fun ~rng:_ g ->
       let v_ex, w_ex = Exact.bisection_width_exhaustive g in
@@ -58,6 +61,8 @@ let bb_vs_exhaustive =
       if v <> v_ex then fail "branch and bound %d, exhaustive %d" v v_ex
       else of_invariant (Invariants.bisection_cut g ~value:v_ex ~witness:w_ex))
 
+(* The parallel branch and bound against the sequential instrumented
+   engine — the in-process equivalent of a [BFLY_DOMAINS=1] rerun. *)
 let parallel_vs_sequential =
   make "parallel_vs_sequential" ~max_nodes:16 (fun ~rng:_ g ->
       let v_par, w_par = Exact.bisection_width g in
@@ -72,6 +77,7 @@ let parallel_vs_sequential =
                Invariants.bisection_cut g ~value:v_seq ~witness:w_seq;
              ]))
 
+(* U-bisection: exact solver vs. reference on a random node subset [U]. *)
 let u_bisection_vs_reference =
   make "u_bisection_vs_reference" ~max_nodes:12 (fun ~rng g ->
       let n = G.n_nodes g in
@@ -88,6 +94,8 @@ let u_bisection_vs_reference =
           v_ref (Bitset.cardinal u)
       else of_invariant (Invariants.bisection_cut ~u g ~value:v ~witness))
 
+(* Every heuristic (KL, FM, spectral, annealing, portfolio) returns a
+   valid bisection whose capacity is at least the exact optimum. *)
 let heuristics_respect_exact =
   make "heuristics_respect_exact" ~max_nodes:14 (fun ~rng g ->
       let exact, _ = Exact.bisection_width g in
@@ -172,6 +180,8 @@ let supervised_vs_exact =
       in
       attempt 64 24)
 
+(* [Expansion.ee_exact]/[ne_exact] (parallel subset enumeration) against
+   the sequential [Reference] enumerators at a random [k]. *)
 let expansion_vs_reference =
   make "expansion_vs_reference" ~max_nodes:12 (fun ~rng g ->
       let n = G.n_nodes g in
@@ -194,6 +204,8 @@ let expansion_vs_reference =
                  ~witness:ne_w;
              ]))
 
+(* Expansion annealing upper-bounds the exact minimum and its witness
+   achieves the claimed value. *)
 let anneal_vs_exact =
   make "anneal_vs_exact" ~max_nodes:12 (fun ~rng g ->
       let n = G.n_nodes g in

@@ -20,31 +20,5 @@ type t = {
   run : rng:Random.State.t -> Bfly_graph.Graph.t -> verdict;
 }
 
-(** [Exact.bisection_width] (parallel branch and bound) against the
-    definitional {!Reference.bisection_width}; witness validated. *)
-val exact_vs_reference : t
-
-(** Branch and bound against the pruning-free exhaustive enumerator. *)
-val bb_vs_exhaustive : t
-
-(** The parallel branch and bound against the sequential instrumented
-    engine — the in-process equivalent of a [BFLY_DOMAINS=1] rerun. *)
-val parallel_vs_sequential : t
-
-(** U-bisection: exact solver vs. reference on a random node subset [U]. *)
-val u_bisection_vs_reference : t
-
-(** Every heuristic (KL, FM, spectral, annealing, portfolio) returns a
-    valid bisection whose capacity is at least the exact optimum. *)
-val heuristics_respect_exact : t
-
-(** [Expansion.ee_exact]/[ne_exact] (parallel subset enumeration) against
-    the sequential {!Reference} enumerators at a random [k]. *)
-val expansion_vs_reference : t
-
-(** Expansion annealing upper-bounds the exact minimum and its witness
-    achieves the claimed value. *)
-val anneal_vs_exact : t
-
 (** The full battery, in a fixed order. *)
 val all : t list

@@ -53,6 +53,10 @@ let embedding_check name e =
       | Some m -> m);
   }
 
+(* Heuristic portfolio ≥ exact with valid witnesses on the B/W/CCC
+   families ([log_n = 2], plus [3] when not [smoke]), and the classic
+   embeddings revalidated path by path. Uses [seed] for the heuristics'
+   restarts. *)
 let family_agreement ~smoke ~seed =
   let log_ns = if smoke then [ 2 ] else [ 2; 3 ] in
   let agreements =

@@ -9,12 +9,6 @@
       "fuzz":{...,"counterexamples":[...]},"ok":true}]
     and is deterministic for a fixed [(seed, rounds, smoke)]. *)
 
-(** Heuristic portfolio ≥ exact with valid witnesses on the B/W/CCC
-    families ([log_n = 2], plus [3] when not [smoke]), and the classic
-    embeddings revalidated path by path. Uses [seed] for the heuristics'
-    restarts. *)
-val family_agreement : smoke:bool -> seed:int -> Bounds.check list
-
 (** [execute ?chaos ~seed ~rounds ~smoke ()] runs everything. [smoke]
     restricts the bound and family checks to the cheapest instances and
     caps fuzz rounds at 5. With [chaos] (default [false]) the fuzzing

@@ -28,6 +28,8 @@ let ff = Report.ffloat
 
 (* ------------------------------------------------------------------ *)
 
+(* Theorem 2.20: [BW(B_n)] — exact values for small [n], certified lower
+   bounds and constructed bisections beyond, against [2(√2−1)n]. *)
 let e1_butterfly_bisection () =
   let row n =
     let b = Butterfly.of_inputs n in
@@ -113,6 +115,7 @@ let e2_mos_convergence () =
     ~header:[ "j"; "BW(MOS,M2)"; "brute"; "density"; "sqrt2-1"; "ratio" ]
     (List.map row [ 2; 3; 4; 8; 16; 32; 64; 128; 256; 1024; 4096 ])
 
+(* Lemmas 3.1–3.2: [BW(W_n) = n]. *)
 let e3_wrapped_bisection () =
   let row n =
     let br = Bw.wrapped n in
@@ -193,6 +196,7 @@ let witness_rows make_witness measure net_credit dims =
 let small_header = [ "k"; "exact"; "credit-LB"; "paper LB"; "paper UB"; "v*logk/k" ]
 let witness_header = [ "dim"; "k"; "witness"; "credit-LB"; "v*logk/k" ]
 
+(* Lemmas 4.1–4.2: [EE(W_n, k)] vs [4k/log k]. *)
 let e5_wn_edge_expansion () =
   let w8 = Wrapped.of_inputs 8 in
   let g8 = Wrapped.graph w8 in
@@ -221,6 +225,7 @@ let e5_wn_edge_expansion () =
         "E5b: sub-butterfly witnesses in W_256 - EE = 4*2^dim = (4+o(1))k/log k"
       ~header:witness_header big
 
+(* Lemmas 4.4–4.5: [NE(W_n, k)] vs [[1,3]·k/log k]. *)
 let e6_wn_node_expansion () =
   let w8 = Wrapped.of_inputs 8 in
   let g8 = Wrapped.graph w8 in
@@ -248,6 +253,7 @@ let e6_wn_node_expansion () =
          (3+o(1))k/log k"
       ~header:witness_header big
 
+(* Lemmas 4.7–4.8: [EE(B_n, k)] vs [2k/log k]. *)
 let e7_bn_edge_expansion () =
   let b8 = Butterfly.of_inputs 8 in
   let g8 = Butterfly.graph b8 in
@@ -275,6 +281,7 @@ let e7_bn_edge_expansion () =
          2*2^dim = (2+o(1))k/log k"
       ~header:witness_header big
 
+(* Lemmas 4.10–4.11: [NE(B_n, k)] vs [[½,1]·k/log k]. *)
 let e8_bn_node_expansion () =
   let b8 = Butterfly.of_inputs 8 in
   let g8 = Butterfly.graph b8 in
@@ -302,6 +309,7 @@ let e8_bn_node_expansion () =
          (1+o(1))k/log k"
       ~header:witness_header big
 
+(* The Section 4.3 summary tables: measured leading constants. *)
 let e9_expansion_summary () =
   (* measured leading constants from the largest witnesses *)
   let w = Wrapped.of_inputs 256 and b = Butterfly.of_inputs 256 in
@@ -329,6 +337,7 @@ let e9_expansion_summary () =
         (Witness.bn_ne ~dim b) "1/2 - o(1)" "1 + o(1)";
     ]
 
+(* Section 1.1: node counts, degrees, diameters. *)
 let e10_structure () =
   let rows =
     List.concat_map
@@ -367,6 +376,7 @@ let e10_structure () =
     ~header:[ "net"; "N"; "edges"; "diam"; "theory"; "radius"; "avg-dist"; "maxdeg" ]
     rows
 
+(* Section 1.2: random-destination routing vs the [N/(4·BW)] bound. *)
 let e11_routing () =
   let r = rng () in
   let row n =
@@ -393,6 +403,8 @@ let e11_routing () =
     ~header:[ "n"; "N"; "into"; "out"; "N/4"; "BW(UB)"; "T_LB"; "T_sim"; "T>=LB" ]
     (List.map row [ 8; 16; 32; 64 ])
 
+(* Lemma 2.5 substrate / Section 1.5: the looping algorithm routes random
+   port permutations edge-disjointly. *)
 let e12_benes_rearrangeability () =
   let r = rng () in
   let row dim =
@@ -416,6 +428,7 @@ let e12_benes_rearrangeability () =
     ~header:[ "dim"; "cols"; "nodes"; "ports"; "routed"; "all disjoint" ]
     (List.map row [ 1; 2; 3; 4; 5; 6 ])
 
+(* Lemmas 2.8, 2.9, 2.15: compactness and amenability, exhaustively. *)
 let e13_compactness () =
   let b4 = Butterfly.of_inputs 4 in
   let g4 = Butterfly.graph b4 in
@@ -461,6 +474,8 @@ let e13_compactness () =
         Report.fbool amenable ];
     ]
 
+(* Section 1.1–1.2: concrete grid layouts of [B_n] vs Thompson's
+   [A >= BW²] bound. *)
 let e14_layout () =
   let row log_n =
     let n = 1 lsl log_n in
@@ -553,6 +568,9 @@ let e16_level_bisection () =
     ~header:[ "n"; "capacity-safe"; "strictly improved"; "levels hit" ]
     (List.map row [ 2; 3; 4; 5 ])
 
+(* Lemma 2.5 / Lemma 2.8: the Beneš-into-butterfly embedding (load 1,
+   congestion 1, dilation 3), edge-disjoint port routing from level 0, and
+   the crossing-path certificates it yields for arbitrary cuts. *)
 let e17_rearrangeability () =
   let r = rng () in
   let row log_n =
@@ -597,6 +615,8 @@ let e17_rearrangeability () =
     ~header:[ "n"; "load"; "congestion"; "dilation"; "bijections"; "cut certs" ]
     (List.map row [ 2; 3; 4; 5; 6 ])
 
+(* Ablation: capacity of the mesh-of-stars pullback across its [(t1,t3)]
+   window choices at fixed [n], showing where the optimum sits. *)
 let a1_mos_parameter_sweep () =
   let log_n = 10 in
   let b = Butterfly.create ~log_n in
@@ -647,6 +667,8 @@ let a1_mos_parameter_sweep () =
     | a :: b :: c :: d :: e :: f :: g :: h :: _ -> [ a; b; c; d; e; f; g; h ]
     | shorter -> shorter)
 
+(* Ablation: the four bisection heuristics head-to-head on [B_n], [W_n],
+   [CCC_n]. *)
 let a2_heuristic_portfolio () =
   let r = rng () in
   let nets =
@@ -674,6 +696,10 @@ let a2_heuristic_portfolio () =
     ~header:[ "network"; "KL"; "FM"; "spectral"; "annealing"; "multilevel" ]
     rows
 
+(* Section 1.3's observation quantified: splitter expansion of the
+   butterfly's fixed wiring (worst ratio 1/2) vs randomly-wired
+   multibutterflies ([d = 2, 3]), measured exhaustively over small input
+   sets. *)
 let a3_multibutterfly_expansion () =
   let r = rng () in
   let row log_n =
@@ -699,6 +725,9 @@ let a3_multibutterfly_expansion () =
     ~header:[ "n"; "butterfly"; "multi d=2"; "multi d=3" ]
     (List.map row [ 3; 4; 5; 6 ])
 
+(* The paper's two expansion lower-bound techniques side by side on
+   [W_8]: credit-scheme certificates (tight for small k) vs the [K_N]
+   embedding (covers all k), against the exact values. *)
 let e18_lower_bound_techniques () =
   let w = Wrapped.of_inputs 8 in
   let g = Wrapped.graph w in
@@ -721,6 +750,8 @@ let e18_lower_bound_techniques () =
     ~header:[ "k"; "exact EE"; "credit LB"; "embedding LB"; "sound" ]
     (List.map row [ 1; 2; 3; 4; 6; 8; 10; 12 ])
 
+(* Ablation: search nodes visited by the exact solver with and without
+   its per-node degree lower bound. *)
 let a4_branch_and_bound_pruning () =
   let row (name, g) =
     let v1, _, with_bound =
@@ -749,6 +780,8 @@ let a4_branch_and_bound_pruning () =
          ("Q_4", Bfly_networks.Hypercube.graph (Bfly_networks.Hypercube.create ~dim:4));
        ])
 
+(* Data-center capacity planning: meshes, tori, BCube-style Hamming
+   graphs and mixed products. *)
 let d1_datacenter_fabrics () =
   (* the sandwich on each fabric: certified LB (Fabric.bounds, the
      arXiv:1202.6291 closed forms) <= multilevel heuristic <= best

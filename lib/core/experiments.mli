@@ -1,54 +1,17 @@
 (** The reproduction harness: one renderer per experiment of DESIGN.md's
-    index. Each function computes the experiment's data and renders the
-    table the paper's claim corresponds to. [all] lists them in order.
+    index. Each renderer computes the experiment's data and renders the
+    table the paper's claim corresponds to. {!all} lists every one of
+    them, in order, by ID; the four below are also exported on their own
+    for the tests that call them directly.
 
     Sizes are chosen so that the whole suite completes in minutes on a
     laptop; the underlying library functions scale further. *)
 
-val e1_butterfly_bisection : unit -> string
-(** Theorem 2.20: [BW(B_n)] — exact values for small [n], certified lower
-    bounds and constructed bisections beyond, against [2(√2−1)n]. *)
-
 val e2_mos_convergence : unit -> string
 (** Lemmas 2.17–2.19: [BW(MOS_{j,j}, M2)/j² → √2−1]. *)
 
-val e3_wrapped_bisection : unit -> string
-(** Lemmas 3.1–3.2: [BW(W_n) = n]. *)
-
 val e4_ccc_bisection : unit -> string
 (** Lemma 3.3: [BW(CCC_n) = n/2]. *)
-
-val e5_wn_edge_expansion : unit -> string
-(** Lemmas 4.1–4.2: [EE(W_n, k)] vs [4k/log k]. *)
-
-val e6_wn_node_expansion : unit -> string
-(** Lemmas 4.4–4.5: [NE(W_n, k)] vs [[1,3]·k/log k]. *)
-
-val e7_bn_edge_expansion : unit -> string
-(** Lemmas 4.7–4.8: [EE(B_n, k)] vs [2k/log k]. *)
-
-val e8_bn_node_expansion : unit -> string
-(** Lemmas 4.10–4.11: [NE(B_n, k)] vs [[½,1]·k/log k]. *)
-
-val e9_expansion_summary : unit -> string
-(** The Section 4.3 summary tables: measured leading constants. *)
-
-val e10_structure : unit -> string
-(** Section 1.1: node counts, degrees, diameters. *)
-
-val e11_routing : unit -> string
-(** Section 1.2: random-destination routing vs the [N/(4·BW)] bound. *)
-
-val e12_benes_rearrangeability : unit -> string
-(** Lemma 2.5 substrate / Section 1.5: the looping algorithm routes random
-    port permutations edge-disjointly. *)
-
-val e13_compactness : unit -> string
-(** Lemmas 2.8, 2.9, 2.15: compactness and amenability, exhaustively. *)
-
-val e14_layout : unit -> string
-(** Section 1.1–1.2: concrete grid layouts of [B_n] vs Thompson's
-    [A >= BW²] bound. *)
 
 val e15_io_separation : unit -> string
 (** Section 1.2 (after Kruskal–Snir): the directed input/output separation
@@ -59,45 +22,6 @@ val e16_level_bisection : unit -> string
 (** Lemma 2.12(1), constructively: random bisections of [B_n] transformed
     into level-bisecting cuts of no greater capacity. *)
 
-val e17_rearrangeability : unit -> string
-(** Lemma 2.5 / Lemma 2.8: the Beneš-into-butterfly embedding (load 1,
-    congestion 1, dilation 3), edge-disjoint port routing from level 0, and
-    the crossing-path certificates it yields for arbitrary cuts. *)
-
-val a1_mos_parameter_sweep : unit -> string
-(** Ablation: capacity of the mesh-of-stars pullback across its [(t1,t3)]
-    window choices at fixed [n], showing where the optimum sits. *)
-
-val a2_heuristic_portfolio : unit -> string
-(** Ablation: the four bisection heuristics head-to-head on [B_n], [W_n],
-    [CCC_n]. *)
-
-val a3_multibutterfly_expansion : unit -> string
-(** Section 1.3's observation quantified: splitter expansion of the
-    butterfly's fixed wiring (worst ratio 1/2) vs randomly-wired
-    multibutterflies ([d = 2, 3]), measured exhaustively over small input
-    sets. *)
-
-val e18_lower_bound_techniques : unit -> string
-(** The paper's two expansion lower-bound techniques side by side on
-    [W_8]: credit-scheme certificates (tight for small k) vs the [K_N]
-    embedding (covers all k), against the exact values. *)
-
-val a4_branch_and_bound_pruning : unit -> string
-(** Ablation: search nodes visited by the exact solver with and without
-    its per-node degree lower bound. *)
-
-val d1_datacenter_fabrics : unit -> string
-(** Data-center capacity planning (arXiv:1202.6291): for each named
-    fabric (meshes, tori, BCube-style Hamming graphs, mixed products),
-    the sandwich [certified LB ≤ multilevel heuristic ≤ best
-    dimension-aligned cut], with all three equal where a parity theorem
-    covers the instance. *)
-
-val f1_figure_1 : unit -> string
-(** Figure 1: the 32-node butterfly [B_8]. *)
-
-val f2_figure_2 : unit -> string
-(** Figure 2: a credit-distribution trace down a down-tree. *)
-
 val all : (string * (unit -> string)) list
+(** [(ID, renderer)] pairs for every experiment — [E1]…[E18], [A1]…[A4],
+    [D1], [F1], [F2] — in the order the bench prints them. *)

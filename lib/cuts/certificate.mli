@@ -1,7 +1,7 @@
 (** Certified bisection lower bounds for arbitrary connected graphs.
 
     The paper's [K_N]-embedding technique (Section 4.2 /
-    [Bfly_embed.Lower_bounds.bw_bound]), freed from closed-form guests:
+    [Bfly_embed.Lower_bounds.bw_via]), freed from closed-form guests:
     route every ordered node pair of the complete graph over the BFS tree
     of its source. Any bisection of an [n]-node graph separates
     [2·⌈n/2⌉·⌊n/2⌋] ordered pairs; each separated pair's route crosses

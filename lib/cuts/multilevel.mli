@@ -63,8 +63,6 @@ type config = {
           is partitioned directly. Default [64]. *)
 }
 
-val default_config : config
-
 val bisect :
   ?rng:Random.State.t ->
   ?restarts:int ->

@@ -1,13 +1,12 @@
 module G = Bfly_graph.Graph
 
 let ceil_div a b = (a + b - 1) / b
-let bw_bound ~guest_bw ~congestion = ceil_div guest_bw congestion
 
 let assert_load_1 e = assert (Embedding.load e = 1)
 
 let bw_via e ~guest_bw =
   assert_load_1 e;
-  bw_bound ~guest_bw ~congestion:(Embedding.congestion e)
+  ceil_div guest_bw (Embedding.congestion e)
 
 let ee_via_kn e ~k =
   assert_load_1 e;

@@ -5,11 +5,8 @@
     at most [c] guest edges per host edge; hence
     [BW(H) >= BW(G)/c] and [EE(H,k) >= EE(G,k)/c]. *)
 
-(** [bw_bound ~guest_bw ~congestion] is [⌈guest_bw / congestion⌉]. *)
-val bw_bound : guest_bw:int -> congestion:int -> int
-
-(** [bw_via e ~guest_bw] measures the congestion of [e] and applies
-    {!bw_bound}. The caller must ensure the node map is injective (load 1);
+(** [bw_via e ~guest_bw] measures the congestion [c] of [e] and returns
+    [⌈guest_bw / c⌉]. The caller must ensure the node map is injective (load 1);
     checked by assertion. *)
 val bw_via : Embedding.t -> guest_bw:int -> int
 

@@ -20,9 +20,6 @@ val component_count : Graph.t -> int
 (** [is_connected g] — vacuously true for the empty graph. *)
 val is_connected : Graph.t -> bool
 
-(** Eccentricity of a node: greatest distance to any reachable node. *)
-val eccentricity : Graph.t -> int -> int
-
 (** Diameter: maximum eccentricity.
     @raise Invalid_argument if the graph is disconnected or empty. *)
 val diameter : Graph.t -> int

@@ -72,6 +72,11 @@ let monotone_path t ~input_col ~output_col =
   in
   go 0 input_col []
 
+(* [component_class t ~lo ~hi w] identifies the connected component of
+   [B_n[lo,hi]] (the subgraph induced by levels lo..hi) containing column
+   [w]: components are classes of columns agreeing outside the bit window
+   flipped by levels lo+1..hi (Lemma 2.4). Classes are densely numbered in
+   [0, n / 2^(hi-lo)). *)
 let component_class t ~lo ~hi w =
   assert (0 <= lo && lo <= hi && hi <= t.log_n);
   let low_bits = t.log_n - hi in

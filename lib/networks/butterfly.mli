@@ -64,13 +64,6 @@ val outputs : t -> int list
     indices level by level. *)
 val monotone_path : t -> input_col:int -> output_col:int -> int list
 
-(** [component_class t ~lo ~hi w] identifies the connected component of
-    [B_n[lo,hi]] (the subgraph induced by levels lo..hi) containing column
-    [w]: components are classes of columns agreeing outside the bit window
-    flipped by levels lo+1..hi (Lemma 2.4). Classes are densely numbered in
-    [0, n / 2^(hi-lo)). *)
-val component_class : t -> lo:int -> hi:int -> int -> int
-
 (** Number of connected components of [B_n[lo,hi]]: [n / 2^(hi-lo)]. *)
 val component_count : t -> lo:int -> hi:int -> int
 

@@ -57,4 +57,3 @@ let butterfly_grid b =
   { width; height; positions; tracks_per_boundary }
 
 let thompson_lower_bound ~bw = bw * bw
-let reference_area b = Butterfly.n b * Butterfly.n b

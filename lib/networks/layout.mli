@@ -29,7 +29,3 @@ val butterfly_grid : Butterfly.t -> t
 
 (** Thompson's lower bound [A >= bw²] for a graph of bisection width [bw]. *)
 val thompson_lower_bound : bw:int -> int
-
-(** The paper's cited asymptotic upper area for [B_n]: [n²(1 + o(1))];
-    returned as plain [n²] for reference lines in tables. *)
-val reference_area : Butterfly.t -> int

@@ -7,6 +7,9 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+(* The JSON string-literal body for [s], without the quotes: quotes,
+   backslashes and control characters are escaped; everything else passes
+   through byte-for-byte (valid UTF-8 in, valid UTF-8 out). *)
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter
@@ -296,11 +299,6 @@ let to_int_opt = function
   | Int i -> Some i
   | Float f when Float.is_integer f && Float.abs f <= 2. ** 52. ->
       Some (int_of_float f)
-  | _ -> None
-
-let to_float_opt = function
-  | Int i -> Some (float_of_int i)
-  | Float f -> Some f
   | _ -> None
 
 let to_string_opt = function Str s -> Some s | _ -> None

@@ -24,12 +24,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val escape : string -> string
-(** [escape s] is the JSON string-literal body for [s]: quotes, backslashes
-    and control characters are escaped; everything else passes through
-    byte-for-byte (valid UTF-8 in, valid UTF-8 out). The result does not
-    include the surrounding quotes. *)
-
 val to_buffer : Buffer.t -> t -> unit
 (** [to_buffer buf v] appends the compact serialization of [v] to [buf]. *)
 
@@ -67,7 +61,6 @@ val duplicate_key : t -> string option
 val to_int_opt : t -> int option
 (** [Int n] (and integral [Float]) as [Some n]. *)
 
-val to_float_opt : t -> float option
 val to_string_opt : t -> string option
 val to_bool_opt : t -> bool option
 

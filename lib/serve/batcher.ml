@@ -17,16 +17,10 @@ type t = {
   fifo : batch Queue.t;
   by_fp : (string, batch) Hashtbl.t;
   mutable requests : int; (* queued + running waiters *)
-  mutable running_batches : int;
 }
 
 let create () =
-  {
-    fifo = Queue.create ();
-    by_fp = Hashtbl.create 64;
-    requests = 0;
-    running_batches = 0;
-  }
+  { fifo = Queue.create (); by_fp = Hashtbl.create 64; requests = 0 }
 
 let add t ~fp ~spec ~deadline waiter =
   t.requests <- t.requests + 1;
@@ -48,7 +42,6 @@ let next t =
          arriving mid-solve joins the in-flight batch (single-flight)
          instead of opening a second solve of the same instance *)
       b.running <- true;
-      t.running_batches <- t.running_batches + 1;
       Some b
 
 let finish t b =
@@ -56,7 +49,6 @@ let finish t b =
      running, so the table entry is necessarily this batch *)
   Hashtbl.remove t.by_fp b.fp;
   b.running <- false;
-  t.running_batches <- t.running_batches - 1;
   let waiters = List.rev b.waiters in
   b.waiters <- [];
   t.requests <- t.requests - List.length waiters;
@@ -64,4 +56,3 @@ let finish t b =
 
 let pending_requests t = t.requests
 let pending_batches t = Queue.length t.fifo
-let running_batches t = t.running_batches

@@ -64,6 +64,3 @@ val pending_requests : t -> int
 
 val pending_batches : t -> int
 (** Batches queued and not yet picked up by {!next}. *)
-
-val running_batches : t -> int
-(** Batches picked up by {!next} and not yet {!finish}ed. *)

@@ -6,6 +6,7 @@ module Budget = Bfly_resil.Budget
 module Cancel = Bfly_resil.Cancel
 module Invariants = Bfly_check.Invariants
 module Lru = Bfly_cache.Lru
+module Json = Bfly_obs.Json
 
 module Fabric = Bfly_networks.Fabric
 
@@ -79,10 +80,108 @@ let solver_of_string = function
   | s ->
       Error (Printf.sprintf "unknown solver %S (exact|kl|fm|sa|spectral|ml)" s)
 
+(* ---- the job vocabulary: fields to specs ---- *)
+
+(* The one reader of job fields, for served requests and the CLI alike:
+   every default, alias, required-field and type-error message lives here.
+   A served request costs one [field] lookup per field its job defines. *)
+
+let ( let* ) = Result.bind
+
+let an_int = ("an integer", Json.to_int_opt)
+let a_bool = ("a boolean", Json.to_bool_opt)
+let a_string = ("a string", Json.to_string_opt)
+
+let int_list =
+  ( "a list of integers",
+    fun v ->
+      Option.bind (Json.to_list_opt v) (fun l ->
+          let ints = List.filter_map Json.to_int_opt l in
+          if List.compare_lengths ints l = 0 then Some ints else None) )
+
+(* [None] when absent; present with the wrong type is an error *)
+let get field k (what, conv) =
+  match field k with
+  | None -> Ok None
+  | Some v -> (
+      match conv v with
+      | Some x -> Ok (Some x)
+      | None -> Error (Printf.sprintf "field %S must be %s" k what))
+
+let default d = Result.map (Option.value ~default:d)
+
+let required field k ty =
+  let* v = get field k ty in
+  Option.to_result v ~none:(Printf.sprintf "field %S is required" k)
+
+let instance field =
+  let* net = Result.bind (required field "network" a_string) net_of_string in
+  if is_fabric net then
+    match field "n" with
+    | None -> Ok (net, 0)
+    | Some _ ->
+        Error
+          "field \"n\" must be omitted for fabric networks (the spec fixes \
+           the size)"
+  else Result.map (fun n -> (net, n)) (required field "n" an_int)
+
+let bw_of_fields field =
+  let* solver =
+    Result.bind (default "exact" (get field "solver" a_string)) solver_of_string
+  in
+  let* net, n = instance field in
+  let* seed = default 1 (get field "seed" an_int) in
+  let* restarts = default 4 (get field "restarts" an_int) in
+  let* max_nodes = get field "max_nodes" an_int in
+  let* resume = default false (get field "resume" a_bool) in
+  Ok (Bw { solver; net; n; seed; restarts; max_nodes; resume })
+
+let expansion_of_fields kind field =
+  let* net, n = instance field in
+  let* k = required field "k" an_int in
+  let* exact = default false (get field "exact" a_bool) in
+  let* seed = default 1 (get field "seed" an_int) in
+  Ok (Expansion { kind; net; n; k; exact; seed })
+
+let campaign_of_fields field =
+  let* degree = default 3 (get field "degree" an_int) in
+  let* seeds = default 3 (get field "seeds" an_int) in
+  let* sizes = default [ 32; 64 ] (get field "sizes" int_list) in
+  (* serve-side grid caps: a campaign is the most expensive job in the
+     vocabulary, and a shared endpoint must bound what one request can pin
+     the pool with (Campaign.run validates the rest) *)
+  if seeds > 16 then Error "field \"seeds\" is capped at 16 when serving"
+  else if List.length sizes > 8 then
+    Error "field \"sizes\" is capped at 8 sizes when serving"
+  else if List.exists (fun n -> n > 1024) sizes then
+    Error "served campaign sizes are capped at n <= 1024"
+  else Ok (Campaign { degree; sizes; seeds })
+
+let of_fields job field =
+  match job with
+  | "bw" -> bw_of_fields field
+  | "mos" ->
+      let* j = required field "j" an_int in
+      Ok (Mos { j })
+  | "ee" -> expansion_of_fields `Ee field
+  | "ne" -> expansion_of_fields `Ne field
+  | "expansion" -> expansion_of_fields `Both field
+  | "check" ->
+      let* seed = default 42 (get field "seed" an_int) in
+      let* rounds = default 5 (get field "rounds" an_int) in
+      Ok (Check { seed; rounds })
+  | "campaign" -> campaign_of_fields field
+  | s ->
+      Error
+        (Printf.sprintf
+           "unknown job %S (bw|mos|ee|ne|expansion|check|campaign|stats)" s)
+
+(* ---- instance graphs ---- *)
+
 let build_graph net n =
   match net with
   | Fabric spec -> (
-      (* the spec fixes the size; [n] is pinned to 0 by the parsers so the
+      (* the spec fixes the size; [instance] pins [n] to 0 so the
          fingerprint stays canonical *)
       match Fabric.create spec with
       | fab -> Ok (Fabric.graph fab, Fabric.name_of fab)

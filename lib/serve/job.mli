@@ -6,12 +6,16 @@
     (exact branch and bound, the KL/FM/SA/spectral heuristics, the
     multilevel partitioner), the
     mesh-of-stars closed form (Lemmas 2.17–2.19), the Section 4 expansion
-    enumerations/annealers, and the differential-oracle battery. {!run}
-    executes one and returns {e exactly} the text the corresponding
-    [bfly_tool] subcommand prints — [bfly_tool bw], [bfly_tool expansion]
-    and [bfly_tool mos] are themselves implemented on top of this module,
-    so a served response is byte-identical to a one-shot invocation by
-    construction, warm or cold cache.
+    enumerations/annealers, and the differential-oracle battery.
+
+    The vocabulary lives here and nowhere else: {!of_fields} is the one
+    reader of job fields — every default, alias, required field, type
+    error and the instance rule — for a served request ([Protocol] hands
+    it the request object's fields) and for [bfly_tool bw], [expansion]
+    and [mos] (which hand it only the flags the user gave). {!run}
+    executes a spec and returns {e exactly} the text the subcommand
+    prints, so CLI/serve parity holds by construction, from the parsed
+    fields to the output bytes, warm or cold cache.
 
     {!fingerprint} canonically names a [(spec, deadline)] pair; the server
     coalesces concurrent requests with equal fingerprints into one solve.
@@ -24,7 +28,8 @@ type net =
   | Ccc
   | Fabric of Bfly_networks.Fabric.spec
       (** A data-center product network; the spec fixes the instance size,
-          so the [n] field of jobs on fabrics is pinned to [0]. *)
+          so the [n] field of jobs on fabrics is pinned to [0] (see
+          {!instance}). *)
 
 type solver = Exact | Kl | Fm | Sa | Spectral | Ml
 
@@ -76,9 +81,36 @@ val is_fabric : net -> bool
 
 val solver_name : solver -> string
 
-val solver_of_string : string -> (solver, string) result
-(** [exact|kl|fm|sa|spectral|ml] ([annealing] is accepted for [sa],
-    [multilevel] for [ml]). *)
+val of_fields :
+  string -> (string -> Bfly_obs.Json.t option) -> (spec, string) result
+(** [of_fields job field] is the spec that job name [job] and field lookup
+    [field] describe, or the message a served request answers with. Jobs
+    and their fields, read in this order with at most one [field] call
+    each:
+
+    - [bw]: [solver] (default [exact]; one of [exact|kl|fm|sa|spectral|ml],
+      with [annealing] accepted for [sa] and [multilevel] for [ml]), the
+      instance ({!instance}), [seed] (default 1), [restarts] (default 4),
+      [max_nodes] (default none), [resume] (default false);
+    - [ee], [ne], [expansion] (both lines): the instance, [k] (required),
+      [exact] (default false), [seed] (default 1);
+    - [mos]: [j] (required);
+    - [check]: [seed] (default 42), [rounds] (default 5);
+    - [campaign]: [degree] (default 3), [seeds] (default 3, at most 16),
+      [sizes] (default [[32; 64]], at most 8 of them, each at most 1024) —
+      the caps bound what one served request can pin the pool with.
+
+    A field of the wrong JSON type is an error ([field "seed" must be an
+    integer]), as is a missing required one ([field "k" is required]);
+    the first error in the order above wins. Unknown fields are never
+    looked up. *)
+
+val instance :
+  (string -> Bfly_obs.Json.t option) -> (net * int, string) result
+(** The instance rule: [network] is required ({!net_of_string}); a
+    butterfly family needs an integer [n], while a fabric spec fixes its
+    own size, so [n] must be absent and is pinned to [0]. [bfly_tool info]
+    and [bisect] resolve their [NETWORK [N]] arguments through it. *)
 
 val graph_of : net -> int -> (Bfly_graph.Graph.t * string, string) result
 (** The instance graph and its display name ([B_16], [W_16], [CCC_16], or

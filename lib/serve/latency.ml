@@ -21,15 +21,17 @@ let record t ~ns =
 let count t = t.total
 let max_ns t = t.max_ns
 
+(* nearest rank: the smallest sample with at least q·n samples at or below
+   it, i.e. index ceil(q·n) - 1 of the sorted array *)
+let quantile sorted q =
+  let n = Array.length sorted in
+  if n = 0 then 0
+  else
+    let q = Float.max 0. (Float.min 1. q) in
+    let rank = int_of_float (ceil (q *. float_of_int n)) in
+    sorted.(max 0 (min (n - 1) (rank - 1)))
+
 let p t ~q =
-  if t.filled = 0 then 0
-  else begin
-    let window = Array.sub t.ring 0 t.filled in
-    Array.sort compare window;
-    let q = Float.min 1.0 (Float.max 0.0 q) in
-    (* nearest rank: smallest index i with (i+1)/filled >= q *)
-    let rank =
-      int_of_float (Float.round ((q *. float_of_int t.filled) -. 0.5))
-    in
-    window.(max 0 (min (t.filled - 1) rank))
-  end
+  let window = Array.sub t.ring 0 t.filled in
+  Array.sort compare window;
+  quantile window q

@@ -18,9 +18,15 @@ val record : t -> ns:int -> unit
 val count : t -> int
 (** Samples recorded since creation (not capped by the window). *)
 
+val quantile : int array -> float -> int
+(** [quantile sorted q] is the nearest-rank [q]-quantile of an ascending
+    array: the element at index [ceil(q·n) - 1], so p50 of two samples is
+    the smaller one. [0] for an empty array; [q] is clamped to [0,1]. The
+    one quantile of the serve layer: {!p} and the [bfly-loadgen/1]
+    document both use it. *)
+
 val p : t -> q:float -> int
-(** Nearest-rank quantile of the current window in nanoseconds; [0] while
-    empty. [q] is clamped to [0,1]. *)
+(** {!quantile} of the current window, in nanoseconds. *)
 
 val max_ns : t -> int
 (** Maximum over the whole lifetime (not just the window). *)

@@ -103,7 +103,7 @@ let response_ok = function
           Option.value ~default:false
             (Option.bind (Json.member "ok" obj) Json.to_bool_opt))
 
-(* ---- pacing and quantiles ---- *)
+(* ---- pacing ---- *)
 
 let pace ~t_start ~qps i =
   if qps > 0. then begin
@@ -111,14 +111,6 @@ let pace ~t_start ~qps i =
     let now = Span.now_ns () in
     if due > now then Unix.sleepf (float_of_int (due - now) /. 1e9)
   end
-
-let quantile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0
-  else
-    let q = Float.max 0. (Float.min 1. q) in
-    let rank = int_of_float (ceil (q *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
 
 (* ---- in-process execution (Concurrent / Sequential) ---- *)
 
@@ -317,9 +309,9 @@ let document ~mode ~seed ~clients ~repeat ~qps ~workers ~trace ~events
           [
             ("wall_ns", Json.Int wall_ns);
             ("achieved_qps", Json.Float achieved_qps);
-            ("p50_ns", Json.Int (quantile sorted 0.5));
-            ("p90_ns", Json.Int (quantile sorted 0.9));
-            ("p99_ns", Json.Int (quantile sorted 0.99));
+            ("p50_ns", Json.Int (Latency.quantile sorted 0.5));
+            ("p90_ns", Json.Int (Latency.quantile sorted 0.9));
+            ("p99_ns", Json.Int (Latency.quantile sorted 0.99));
             ("max_ns", Json.Int (if Array.length sorted = 0 then 0 else sorted.(Array.length sorted - 1)));
           ] );
       ( "server",

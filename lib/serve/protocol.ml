@@ -9,134 +9,11 @@ type request = { id : string; payload : payload }
 
 (* ---- request parsing ---- *)
 
-let field obj k = Json.member k obj
-
-let int_field obj k ~default =
-  match field obj k with
-  | None -> Ok default
-  | Some v -> (
-      match Json.to_int_opt v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "field %S must be an integer" k))
-
-let bool_field obj k ~default =
-  match field obj k with
-  | None -> Ok default
-  | Some v -> (
-      match Json.to_bool_opt v with
-      | Some b -> Ok b
-      | None -> Error (Printf.sprintf "field %S must be a boolean" k))
-
-let string_field obj k =
-  match field obj k with
-  | None -> Ok None
-  | Some v -> (
-      match Json.to_string_opt v with
-      | Some s -> Ok (Some s)
-      | None -> Error (Printf.sprintf "field %S must be a string" k))
-
 let ( let* ) = Result.bind
 
-let net_field obj =
-  let* net = string_field obj "network" in
-  match net with
-  | None -> Error "field \"network\" is required"
-  | Some s -> Job.net_of_string s
-
-let required_int obj k =
-  match field obj k with
-  | None -> Error (Printf.sprintf "field %S is required" k)
-  | Some v -> (
-      match Json.to_int_opt v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "field %S must be an integer" k))
-
-(* Fabric specs fix the instance size themselves; [n] is pinned to 0 so
-   equal jobs coalesce under one fingerprint, and a contradictory explicit
-   [n] is rejected rather than ignored. *)
-let n_for_net obj net =
-  if Job.is_fabric net then
-    match field obj "n" with
-    | None -> Ok 0
-    | Some _ ->
-        Error
-          "field \"n\" must be omitted for fabric networks (the spec fixes \
-           the size)"
-  else required_int obj "n"
-
-let parse_bw obj =
-  let* solver =
-    let* s = string_field obj "solver" in
-    Job.solver_of_string (Option.value s ~default:"exact")
-  in
-  let* net = net_field obj in
-  let* n = n_for_net obj net in
-  let* seed = int_field obj "seed" ~default:1 in
-  let* restarts = int_field obj "restarts" ~default:4 in
-  let* max_nodes =
-    match field obj "max_nodes" with
-    | None -> Ok None
-    | Some v -> (
-        match Json.to_int_opt v with
-        | Some i -> Ok (Some i)
-        | None -> Error "field \"max_nodes\" must be an integer")
-  in
-  let* resume = bool_field obj "resume" ~default:false in
-  Ok (Job.Bw { solver; net; n; seed; restarts; max_nodes; resume })
-
-let parse_expansion kind obj =
-  let* net = net_field obj in
-  let* n = n_for_net obj net in
-  let* k = required_int obj "k" in
-  let* exact = bool_field obj "exact" ~default:false in
-  let* seed = int_field obj "seed" ~default:1 in
-  Ok (Job.Expansion { kind; net; n; k; exact; seed })
-
-let parse_spec job obj =
-  match job with
-  | "bw" -> parse_bw obj
-  | "mos" ->
-      let* j = required_int obj "j" in
-      Ok (Job.Mos { j })
-  | "ee" -> parse_expansion `Ee obj
-  | "ne" -> parse_expansion `Ne obj
-  | "expansion" -> parse_expansion `Both obj
-  | "check" ->
-      let* seed = int_field obj "seed" ~default:42 in
-      let* rounds = int_field obj "rounds" ~default:5 in
-      Ok (Job.Check { seed; rounds })
-  | "campaign" ->
-      let* degree = int_field obj "degree" ~default:3 in
-      let* seeds = int_field obj "seeds" ~default:3 in
-      let* sizes =
-        match field obj "sizes" with
-        | None -> Ok [ 32; 64 ]
-        | Some (Json.List l) -> (
-            match
-              List.fold_right
-                (fun v acc ->
-                  Option.bind acc (fun tl ->
-                      Option.map (fun i -> i :: tl) (Json.to_int_opt v)))
-                l (Some [])
-            with
-            | Some sizes -> Ok sizes
-            | None -> Error "field \"sizes\" must be a list of integers")
-        | Some _ -> Error "field \"sizes\" must be a list of integers"
-      in
-      (* serve-side grid caps: a campaign is the most expensive job in
-         the vocabulary, and a shared endpoint must bound what one
-         request can pin the pool with (Campaign.run validates the rest) *)
-      if seeds > 16 then Error "field \"seeds\" is capped at 16 when serving"
-      else if List.length sizes > 8 then
-        Error "field \"sizes\" is capped at 8 sizes when serving"
-      else if List.exists (fun n -> n > 1024) sizes then
-        Error "served campaign sizes are capped at n <= 1024"
-      else Ok (Job.Campaign { degree; sizes; seeds })
-  | s ->
-      Error
-        (Printf.sprintf
-           "unknown job %S (bw|mos|ee|ne|expansion|check|campaign|stats)" s)
-
+(* A request's own fields are [id], [job] and [deadline]; every other field
+   belongs to the job and is read by Job.of_fields, the reader the CLI
+   shares. *)
 let parse_request ~default_id line =
   match Json.of_string line with
   | Error m -> Error ("request is not valid JSON: " ^ m, default_id)
@@ -146,32 +23,34 @@ let parse_request ~default_id line =
       let k = Option.get (Json.duplicate_key obj) in
       Error (Printf.sprintf "duplicate key %S in request object" k, default_id)
   | Ok (Json.Obj _ as obj) -> (
+      let field k = Json.member k obj in
       let id =
-        match field obj "id" with
+        match field "id" with
         | Some (Json.Str s) -> s
         | Some (Json.Int i) -> string_of_int i
         | _ -> default_id
       in
-      match string_field obj "job" with
-      | Error m -> Error (m, id)
-      | Ok None -> Error ("field \"job\" is required", id)
-      | Ok (Some "stats") -> Ok { id; payload = Stats }
-      | Ok (Some job) -> (
-          let deadline =
-            match field obj "deadline" with
-            | None -> Ok None
-            | Some (Json.Str s) -> (
-                match Budget.of_string s with
-                | Ok b -> Ok (Some b)
-                | Error e -> Error ("bad deadline: " ^ e))
-            | Some _ -> Error "field \"deadline\" must be a string"
-          in
-          match deadline with
-          | Error m -> Error (m, id)
-          | Ok deadline -> (
-              match parse_spec job obj with
-              | Error m -> Error (m, id)
-              | Ok spec -> Ok { id; payload = Job { spec; deadline } })))
+      let payload =
+        match field "job" with
+        | None -> Error "field \"job\" is required"
+        | Some (Json.Str "stats") -> Ok Stats
+        | Some (Json.Str job) ->
+            let* deadline =
+              match field "deadline" with
+              | None -> Ok None
+              | Some (Json.Str s) -> (
+                  match Budget.of_string s with
+                  | Ok b -> Ok (Some b)
+                  | Error e -> Error ("bad deadline: " ^ e))
+              | Some _ -> Error "field \"deadline\" must be a string"
+            in
+            let* spec = Job.of_fields job field in
+            Ok (Job { spec; deadline })
+        | Some _ -> Error "field \"job\" must be a string"
+      in
+      match payload with
+      | Ok payload -> Ok { id; payload }
+      | Error m -> Error (m, id))
   | Ok _ -> Error ("request must be a JSON object", default_id)
 
 (* ---- responses ---- *)

@@ -14,14 +14,21 @@
     v}
 
     [job] selects the solver family: [bw] (with [solver] one of
-    [exact|kl|fm|sa|spectral], plus [max_nodes]/[resume] for [exact]),
+    [exact|kl|fm|sa|spectral|ml], plus [max_nodes]/[resume] for [exact]),
     [mos], [ee]/[ne]/[expansion], [check], [campaign] (a random-regular
     bisection sweep; served grids are capped at 16 seeds, 8 sizes and
     [n <= 1024] so one request cannot pin the pool), or [stats] (live
-    server introspection, answered immediately, never queued). [id] is any string
-    (echoed verbatim in the response; assigned [r<N>] when omitted);
-    [deadline] is a per-request budget in [Bfly_resil.Budget.of_string]
-    syntax (["250ms"], ["1.5s"]). Unknown fields are ignored.
+    server introspection, answered immediately, never queued). [id] is
+    any string (echoed verbatim in the response; assigned [r<N>] when
+    omitted); [deadline] is a per-request budget in
+    [Bfly_resil.Budget.of_string] syntax (["250ms"], ["1.5s"]). Unknown
+    fields are ignored.
+
+    This module reads only those three request fields. The job's own
+    fields — their defaults, aliases, the instance rule and every
+    field error — are read by {!Job.of_fields}, the same reader behind
+    [bfly_tool bw], [expansion] and [mos]; its documentation is the
+    field reference.
 
     Responses:
 

@@ -108,7 +108,6 @@ let client ?name ?limit t =
     active = 0;
   }
 
-let client_name c = c.cname
 
 let locked t f =
   Mutex.lock t.lock;

@@ -63,8 +63,6 @@ val client : ?name:string -> ?limit:int -> t -> client
     disconnected client's in-flight requests release their slots when
     their batches complete. *)
 
-val client_name : client -> string
-
 val submit : t -> ?client:client -> reply:(string -> unit) -> string -> unit
 (** Parse and enqueue one request line. [reply] receives every response
     line addressed to this request (rejections and parse errors

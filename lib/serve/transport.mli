@@ -21,7 +21,7 @@
 
     {2 Bounded reads}
 
-    A request line longer than [max_line] (default {!default_max_line})
+    A request line longer than [max_line] (default 262144)
     is never buffered: the client gets one structured error response
     ([id "oversized"]) and the transport discards input until the next
     newline. Counted in [serve.oversized].
@@ -51,9 +51,6 @@
     written, then the loop returns. SIGPIPE is ignored (write errors
     surface as [serve.write_fail] instead). The caller is expected to
     log {!Server.summary} afterwards. *)
-
-val default_max_line : int
-(** 262144 bytes. *)
 
 val serve :
   ?block_timeout:float ->
