@@ -473,7 +473,10 @@ let check_cmd =
   in
   let rounds =
     Arg.(value & opt int 50 & info [ "rounds" ] ~docv:"N"
-           ~doc:"Fuzzing rounds (one random instance per round).")
+           ~doc:"Fuzzing rounds (one random instance per round). A served \
+                 $(b,check) job defaults to 5 smoke rounds, this command to \
+                 50: the two are different commands by design, since this \
+                 one prints the full document and sets the exit status.")
   in
   let smoke =
     Arg.(value & flag & info [ "smoke" ]

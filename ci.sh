@@ -25,8 +25,10 @@
 #   serve    bfly_serve smoke: coalescing, one-shot byte-identity, two
 #            jobs on one (memoized) network, a structured error for an
 #            n beyond 2^61, CLI/serve parity on a fabric expansion job,
-#            admission control, and a concurrent 4-client TCP replay
-#            byte-identical to the sequential one, drained by SIGTERM
+#            admission control, a sequential replay whose repeats are
+#            answered from the memo of finished outputs, and a
+#            concurrent 4-client TCP replay byte-identical to it,
+#            drained by SIGTERM
 #   loadgen  deterministic load replay: committed-baseline gate
 #            (deterministic fields, cross-machine), the data-center
 #            fabric mix against its own committed baseline, self-baseline
@@ -178,8 +180,9 @@ stage_doc() {
 # one network (one graph, shared through Job.graph_of's memo) must both
 # answer, an n beyond 2^61 must get a structured error instead of a
 # spinning worker, the one-shot CLI must print the served output and the
-# served error for a fabric job, and a shrunken admission bound must
-# produce explicit "overloaded" rejections.
+# served error for a fabric job, a shrunken admission bound must
+# produce explicit "overloaded" rejections, and a sequential replay must
+# answer its repeats from the memo of finished outputs.
 stage_serve() {
   trace="$scratch/serve-trace.ndjson"
   out="$scratch/serve-out.ndjson"
@@ -326,6 +329,20 @@ stage_serve() {
   BFLY_CACHE_DIR="$scratch/serve-cache" dune exec -- bin/bfly_tool.exe \
     loadgen --trace "$LOADGEN_TRACE" --seed 2 --clients 4 --repeat 3 \
     --sequential --json "$scratch/lg-seq.json" > /dev/null
+  # the sequential replay solves each of the 11 distinct ok lines once and
+  # answers their 22 repeats from the memo of finished outputs; the
+  # erroring line is solved on each of its 3 repeats. Its outputs are
+  # pinned: the memo must return the bytes the solves returned.
+  seq_batches=$(extract batches "$scratch/lg-seq.json")
+  seq_memo=$(extract memo_hits "$scratch/lg-seq.json")
+  [ "$seq_batches" -eq 14 ] && [ "$seq_memo" -eq 22 ] || {
+    echo "FAIL: sequential replay ran $seq_batches batches and $seq_memo memo answers, expected 14 and 22" >&2
+    exit 1
+  }
+  grep -qF '"outputs_fingerprint":"bb19b9effbc375c6"' "$scratch/lg-seq.json" || {
+    echo "FAIL: sequential replay outputs drifted from bb19b9effbc375c6" >&2
+    exit 1
+  }
   BFLY_CACHE_DIR="$scratch/serve-cache" dune exec -- bin/bfly_tool.exe \
     loadgen --trace "$LOADGEN_TRACE" --seed 2 --clients 4 --repeat 3 \
     --connect "tcp:$addr" --compare "$scratch/lg-seq.json" --no-timing \

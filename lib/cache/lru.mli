@@ -1,11 +1,11 @@
 (** Bounded in-memory LRU keyed by strings.
 
-    Two users: {!Store}'s memory tier in front of {!Disk}, holding decoded
-    {!Codec.payload}s keyed by entry digest (recently served entries skip
-    the filesystem and its re-parse), and the serving layer's memo of
-    built networks. Values are shared, not copied: store only immutable
-    ones (cache payloads are; integration sites rebuild fresh witnesses
-    from them on every hit).
+    Three users: {!Store}'s memory tier in front of {!Disk}, holding
+    decoded {!Codec.payload}s keyed by entry digest (recently served
+    entries skip the filesystem and its re-parse), and the serving
+    layer's memos of built networks and of finished outputs. Values are
+    shared, not copied: store only immutable ones (cache payloads are;
+    integration sites rebuild fresh witnesses from them on every hit).
 
     Exact LRU via an intrusive doubly-linked list: [find], [add] and
     [remove] are O(1). Not synchronized — every user serializes access

@@ -16,11 +16,23 @@ type batch = {
 type t = {
   fifo : batch Queue.t;
   by_fp : (string, batch) Hashtbl.t;
+  memo : string Bfly_cache.Lru.t; (* [Ok] outputs of finished batches *)
   mutable requests : int; (* queued + running waiters *)
 }
 
+let memo_capacity = 1024
+
 let create () =
-  { fifo = Queue.create (); by_fp = Hashtbl.create 64; requests = 0 }
+  {
+    fifo = Queue.create ();
+    by_fp = Hashtbl.create 64;
+    memo = Bfly_cache.Lru.create ~capacity:memo_capacity;
+    requests = 0;
+  }
+
+let recall t ~fp ~spec ~deadline =
+  if Job.memoizable ?deadline spec then Bfly_cache.Lru.find t.memo fp
+  else None
 
 let add t ~fp ~spec ~deadline waiter =
   t.requests <- t.requests + 1;
@@ -44,10 +56,14 @@ let next t =
       b.running <- true;
       Some b
 
-let finish t b =
+let finish t b result =
   (* only [finish] unmaps a fingerprint, and only [next] marks batches
      running, so the table entry is necessarily this batch *)
   Hashtbl.remove t.by_fp b.fp;
+  (match result with
+  | Ok output when Job.memoizable ?deadline:b.deadline b.spec ->
+      ignore (Bfly_cache.Lru.add t.memo b.fp output)
+  | Ok _ | Error _ -> ());
   b.running <- false;
   let waiters = List.rev b.waiters in
   b.waiters <- [];

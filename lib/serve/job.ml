@@ -259,6 +259,18 @@ let fingerprint ?deadline spec =
   | None -> body
   | Some b -> body ^ "@" ^ Budget.to_string b
 
+(* A budget decides whether the exact search degrades to an interval, and
+   where it stops depends on what the cache already holds: with
+   [max_nodes] 1, B_8 prints "BW in [0, 8] (interrupted...)" cold and
+   "BW = 8" once the full solve is cached. [resume] reads a checkpoint the
+   cache may or may not hold. *)
+let memoizable ?deadline spec =
+  Option.is_none deadline
+  && (match spec with
+     | Bw { max_nodes = Some _; _ } | Bw { resume = true; _ } -> false
+     | _ -> true)
+  && Bfly_cache.Config.enabled ()
+
 (* ---- execution ---- *)
 
 (* Seed prefixes keep the job-level rng streams disjoint from every other

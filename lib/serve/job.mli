@@ -18,7 +18,8 @@
     fields to the output bytes, warm or cold cache.
 
     {!fingerprint} canonically names a [(spec, deadline)] pair; the server
-    coalesces concurrent requests with equal fingerprints into one solve.
+    coalesces concurrent requests with equal fingerprints into one solve,
+    and answers a later twin of a finished {!memoizable} one from memory.
     Every solver underneath already persists through {!Bfly_cache.Store},
     so warm fingerprints never re-search. *)
 
@@ -134,6 +135,16 @@ val fingerprint : ?deadline:Bfly_resil.Budget.t -> spec -> string
     an in-flight twin must not change its answer, and a deadline is part
     of the answer (it decides whether an exact search may degrade to an
     interval). *)
+
+val memoizable : ?deadline:Bfly_resil.Budget.t -> spec -> bool
+(** Whether an [Ok] output of {!run} for this pair depends on its
+    {!fingerprint} alone, so a server may keep it and answer a later twin
+    with it: no [deadline] and no [max_nodes] (a budget lets an exact
+    search stop early, and where it stops depends on what the cache
+    already holds), no [resume] (it continues from a checkpoint the cache
+    may or may not hold), and only while {!Bfly_cache.Config.enabled}
+    holds, so [--no-cache] and [BFLY_CACHE=off] still solve every request
+    afresh. Errors are never kept, whatever this says. *)
 
 val run : ?deadline:Bfly_resil.Budget.t -> spec -> (string, string) result
 (** Execute the job. [Ok text] is the bytes the matching one-shot

@@ -31,7 +31,9 @@ let quantile sorted q =
     let rank = int_of_float (ceil (q *. float_of_int n)) in
     sorted.(max 0 (min (n - 1) (rank - 1)))
 
+let window t = Array.sub t.ring 0 t.filled
+
 let p t ~q =
-  let window = Array.sub t.ring 0 t.filled in
-  Array.sort compare window;
-  quantile window q
+  let w = window t in
+  Array.sort Int.compare w;
+  quantile w q

@@ -22,11 +22,17 @@ val quantile : int array -> float -> int
 (** [quantile sorted q] is the nearest-rank [q]-quantile of an ascending
     array: the element at index [ceil(q·n) - 1], so p50 of two samples is
     the smaller one. [0] for an empty array; [q] is clamped to [0,1]. The
-    one quantile of the serve layer: {!p} and the [bfly-loadgen/1]
-    document both use it. *)
+    one quantile of the serve layer: {!p}, the server's [stats] and the
+    [bfly-loadgen/1] document all use it. *)
+
+val window : t -> int array
+(** A fresh copy of the current window, unsorted: cheap enough to take
+    under the owner's lock. Sort it outside with [Array.sort Int.compare]
+    and read every {!quantile} from that one copy. *)
 
 val p : t -> q:float -> int
-(** {!quantile} of the current window, in nanoseconds. *)
+(** {!quantile} of the current window, in nanoseconds: one {!window}
+    copy, sorted. *)
 
 val max_ns : t -> int
 (** Maximum over the whole lifetime (not just the window). *)

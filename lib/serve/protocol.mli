@@ -39,9 +39,11 @@
 
     [output] is byte-identical to the matching one-shot [bfly_tool]
     subcommand's stdout; [batch] counts how many requests were coalesced
-    into the solve that produced it. [error] is the admission verdict
-    (["overloaded"], ["draining"]), a parse diagnostic, or the solver
-    error the one-shot CLI would print. *)
+    into the solve that produced it, and [0] means the request was
+    answered from an earlier, finished solve (see {!Server}'s memo of
+    finished outputs): same bytes, no solve of its own. [error] is the
+    admission verdict (["overloaded"], ["draining"]), a parse diagnostic,
+    or the solver error the one-shot CLI would print. *)
 
 type payload =
   | Job of { spec : Job.spec; deadline : Bfly_resil.Budget.t option }

@@ -8,6 +8,7 @@ let c_responses = Metrics.counter "serve.responses"
 let c_batches = Metrics.counter "serve.batches"
 let c_coalesced = Metrics.counter "serve.coalesced"
 let c_joined = Metrics.counter "serve.joined_inflight"
+let c_memo_hits = Metrics.counter "serve.memo_hits"
 let c_rejected_overload = Metrics.counter "serve.rejected.overload"
 let c_rejected_client = Metrics.counter "serve.rejected.client"
 let c_rejected_drain = Metrics.counter "serve.rejected.drain"
@@ -40,6 +41,7 @@ type t = {
   mutable batches : int;
   mutable coalesced : int;
   mutable joined : int;
+  mutable memo_hits : int;
   mutable inflight : int;
   mutable rejected_overload : int;
   mutable rejected_client : int;
@@ -84,6 +86,7 @@ let create ?queue_bound ?client_bound () =
     batches = 0;
     coalesced = 0;
     joined = 0;
+    memo_hits = 0;
     inflight = 0;
     rejected_overload = 0;
     rejected_client = 0;
@@ -122,16 +125,23 @@ let draining t = t.draining
 let pending t = locked t (fun () -> Batcher.pending_requests t.batcher)
 let queued_batches t = locked t (fun () -> Batcher.pending_batches t.batcher)
 
+(* p50 and p99 of a window copied under the lock: the sort runs outside
+   it, so a [stats] request never stalls admission or batch completion *)
+let p50_p99 window =
+  Array.sort Int.compare window;
+  (Latency.quantile window 0.5, Latency.quantile window 0.99)
+
 let stats_json t =
-  let ( requests, responses, batches, coalesced, joined, inflight,
+  let ( requests, responses, batches, coalesced, joined, memo_hits, inflight,
         rejected_overload, rejected_client, rejected_drain, parse_errors,
-        errors, q, b, lat_count, lat_max, p50, p99 ) =
+        errors, q, b, lat_count, lat_max, window ) =
     locked t (fun () ->
         ( t.requests,
           t.responses,
           t.batches,
           t.coalesced,
           t.joined,
+          t.memo_hits,
           t.inflight,
           t.rejected_overload,
           t.rejected_client,
@@ -142,9 +152,9 @@ let stats_json t =
           Batcher.pending_batches t.batcher,
           Latency.count t.latency,
           Latency.max_ns t.latency,
-          Latency.p t.latency ~q:0.5,
-          Latency.p t.latency ~q:0.99 ))
+          Latency.window t.latency ))
   in
+  let p50, p99 = p50_p99 window in
   Metrics.set g_p50 (float_of_int p50);
   Metrics.set g_p99 (float_of_int p99);
   Json.Obj
@@ -154,6 +164,7 @@ let stats_json t =
       ("batches", Json.Int batches);
       ("coalesced", Json.Int coalesced);
       ("joined", Json.Int joined);
+      ("memo_hits", Json.Int memo_hits);
       ("inflight", Json.Int inflight);
       ( "rejected",
         Json.Obj
@@ -214,6 +225,7 @@ let submit t ?client ~reply line =
       let stats = stats_json t in
       answered_with (Protocol.stats_response ~id stats) ~tally:(fun () -> ())
   | Ok { id; payload = Protocol.Job { spec; deadline } } -> (
+      let fp = Job.fingerprint ?deadline spec in
       let verdict =
         locked t (fun () ->
             if t.draining then `Draining
@@ -222,22 +234,25 @@ let submit t ?client ~reply line =
             else
               match client with
               | Some c when c.active >= c.climit -> `Client_overloaded
-              | _ ->
-                  let release =
-                    match client with
-                    | None -> fun () -> ()
-                    | Some c ->
-                        c.active <- c.active + 1;
-                        fun () -> c.active <- c.active - 1
-                  in
-                  let fp = Job.fingerprint ?deadline spec in
-                  let how =
-                    Batcher.add t.batcher ~fp ~spec ~deadline
-                      { Batcher.id; reply; t0 = Span.now_ns (); release }
-                  in
-                  Metrics.set g_queue_depth
-                    (float_of_int (Batcher.pending_requests t.batcher));
-                  `Queued how)
+              | _ -> (
+                  let t0 = Span.now_ns () in
+                  match Batcher.recall t.batcher ~fp ~spec ~deadline with
+                  | Some output -> `Remembered (output, t0)
+                  | None ->
+                      let release =
+                        match client with
+                        | None -> fun () -> ()
+                        | Some c ->
+                            c.active <- c.active + 1;
+                            fun () -> c.active <- c.active - 1
+                      in
+                      let how =
+                        Batcher.add t.batcher ~fp ~spec ~deadline
+                          { Batcher.id; reply; t0; release }
+                      in
+                      Metrics.set g_queue_depth
+                        (float_of_int (Batcher.pending_requests t.batcher));
+                      `Queued how))
       in
       match verdict with
       | `Draining ->
@@ -260,6 +275,16 @@ let submit t ?client ~reply line =
           answered_with
             (Protocol.error_response ~id "overloaded")
             ~tally:(fun () -> t.rejected_client <- t.rejected_client + 1)
+      | `Remembered (output, t0) ->
+          (* a finished twin's output, answered without queueing: it is
+             bytes this server's own Job.run produced *)
+          let line = Protocol.ok_response ~id ~batch:0 ~output in
+          let ns = Span.now_ns () - t0 in
+          Metrics.incr c_memo_hits;
+          Metrics.record t_latency ~ns;
+          answered_with line ~tally:(fun () ->
+              t.memo_hits <- t.memo_hits + 1;
+              Latency.record t.latency ~ns)
       | `Queued `Coalesced ->
           Metrics.incr c_coalesced;
           locked t (fun () -> t.coalesced <- t.coalesced + 1)
@@ -300,7 +325,7 @@ let execute_batch t (batch : Batcher.batch) =
      block on a slow client socket *)
   let waiters =
     locked t (fun () ->
-        let ws = Batcher.finish t.batcher batch in
+        let ws = Batcher.finish t.batcher batch result in
         t.inflight <- t.inflight - 1;
         Metrics.set g_inflight (float_of_int t.inflight);
         Metrics.set g_batch_width (float_of_int (List.length ws));
@@ -346,18 +371,19 @@ let run_pending t =
   !n
 
 let summary t =
-  let requests, batches, coalesced, rejected, errors, p50, p99 =
+  let requests, batches, coalesced, memo_hits, rejected, errors, window =
     locked t (fun () ->
         ( t.requests,
           t.batches,
           t.coalesced,
+          t.memo_hits,
           t.rejected_overload + t.rejected_client + t.rejected_drain,
           t.errors,
-          Latency.p t.latency ~q:0.5,
-          Latency.p t.latency ~q:0.99 ))
+          Latency.window t.latency ))
   in
+  let p50, p99 = p50_p99 window in
   let ms ns = float_of_int ns /. 1e6 in
   Printf.sprintf
-    "served %d requests in %d batches (%d coalesced, %d rejected, %d errors, \
-     p50 %.1fms, p99 %.1fms)"
-    requests batches coalesced rejected errors (ms p50) (ms p99)
+    "served %d requests in %d batches (%d coalesced, %d from memo, %d \
+     rejected, %d errors, p50 %.1fms, p99 %.1fms)"
+    requests batches coalesced memo_hits rejected errors (ms p50) (ms p99)

@@ -9,9 +9,10 @@
     {!execute_batch} on the {!Bfly_graph.Parallel} pool. Every batch runs
     through {!Job.run}, so served and one-shot runs traverse identical
     code paths and return identical bytes; the single-flight batcher and
-    the shared content-addressed result cache together keep the solve
-    count of a cold trace equal to the sequential replay's, whatever the
-    dispatch interleaving.
+    the shared content-addressed result cache together keep the cache
+    misses of a cold trace equal to the sequential replay's, whatever the
+    dispatch interleaving. (The number of batches is not pinned: a
+    sequential replay finds more twins already finished, see below.)
 
     All state is guarded by one internal mutex: {!submit} (transport
     thread) and {!execute_batch} (pool domains) may run concurrently.
@@ -29,18 +30,30 @@
     service. After {!drain} the verdict is ["draining"]. [stats] requests
     are answered inline and never count against either bound.
 
+    A job request that passes those three verdicts and whose twin has
+    already finished is answered inline too, from the {!Batcher}'s memo
+    of finished outputs ([Ok] results of {!Job.memoizable} pairs, at most
+    1,024 fingerprints, one memo per server): the same output bytes with
+    ["batch":0], without queueing and holding no slot. Only this server's
+    own {!Job.run} produced those bytes, after re-validating the witness,
+    so the memo skips no check. [deadline], [max_nodes] and [resume]
+    requests and every error are solved again on each repeat, and nothing
+    is remembered while the result cache is off.
+
     {2 Metrics}
 
     Counters [serve.requests], [serve.responses], [serve.batches],
     [serve.coalesced], [serve.joined_inflight] (duplicates that joined a
-    batch already solving), [serve.rejected.overload],
+    batch already solving), [serve.memo_hits] (requests answered from
+    the memo of finished outputs), [serve.rejected.overload],
     [serve.rejected.client], [serve.rejected.drain], [serve.parse_error],
     [serve.errors]; gauges [serve.queue_depth], [serve.batch_width],
     [serve.concurrency] (batches in flight) and [serve.concurrency.max]
     (its high-water mark), [serve.latency.p50_ns], [serve.latency.p99_ns];
     timers [serve.solve] (per batch) and [serve.latency] (per request,
-    submit to response). The same numbers are visible per-server through
-    {!stats_json} / the [stats] request. *)
+    admission to response, memo answers included). The same numbers are
+    visible per-server through {!stats_json} / the [stats] request, where
+    memo answers are [memo_hits]. *)
 
 type t
 
@@ -65,9 +78,9 @@ val client : ?name:string -> ?limit:int -> t -> client
 
 val submit : t -> ?client:client -> reply:(string -> unit) -> string -> unit
 (** Parse and enqueue one request line. [reply] receives every response
-    line addressed to this request (rejections and parse errors
-    immediately on the calling thread, solver output from whichever
-    domain completes its batch). Never raises on bad input — malformed
+    line addressed to this request (rejections, parse errors and memo
+    answers immediately on the calling thread, solver output from
+    whichever domain completes its batch). Never raises on bad input — malformed
     lines get an error response. [client] enables per-client admission
     control and should be one handle per connection. *)
 
@@ -106,10 +119,11 @@ val draining : t -> bool
 
 val stats_json : t -> Bfly_obs.Json.t
 (** The live introspection object served to [stats] requests: this
-    server's request/response/batch/rejection tallies, queue depth and
-    bounds, batches in flight, draining flag, latency quantiles, and the
-    process-wide [cache.hit]/[cache.miss] counters. *)
+    server's request/response/batch/memo/rejection tallies, queue depth
+    and bounds, batches in flight, draining flag, latency quantiles, and
+    the process-wide [cache.hit]/[cache.miss] counters. The latency window
+    is copied under the server lock and sorted outside it. *)
 
 val summary : t -> string
 (** One human line for the drain log, e.g.
-    ["served 120 requests in 17 batches (103 coalesced, 0 rejected, p50 1.2ms, p99 210ms)"]. *)
+    ["served 120 requests in 17 batches (80 coalesced, 23 from memo, 0 rejected, 0 errors, p50 1.2ms, p99 210.0ms)"]. *)

@@ -1041,6 +1041,203 @@ let test_latency_quantiles () =
   check "p50 of two samples" 10 (Latency.p two ~q:0.5);
   check "p100 of two samples" 20 (Latency.p two ~q:1.0)
 
+(* ---- the memo of finished outputs ---- *)
+
+let stats_int server k = int_field (Server.stats_json server) k
+
+(* submit one line, run the queue, and parse its one response *)
+let answer_of server line = parse_response (List.hd (replay server [ line ]))
+
+(* A twin of a finished job is answered inside [submit], before anything
+   runs, with the bytes of the solve that produced it and of Job.run, and
+   with "batch":0. *)
+let test_memo_answer () =
+  with_fresh_cache @@ fun () ->
+  let server = Server.create () in
+  let solved = List.map (fun (l, _) -> answer_of server l) distinct_jobs in
+  let hits0 = counter "serve.memo_hits" in
+  List.iter2
+    (fun (line, spec) first ->
+      let got = ref [] in
+      Server.submit server ~reply:(fun r -> got := r :: !got) line;
+      check "answered inside submit" 1 (List.length !got);
+      check "nothing queued" 0 (Server.pending server);
+      let memo = parse_response (List.hd !got) in
+      check "the solve's width" 1 (int_field first "batch");
+      checkb "memo answer ok" true (bool_field memo "ok");
+      check "memo answer width" 0 (int_field memo "batch");
+      Alcotest.(check string)
+        "byte-equal to the solve that produced it" (str_field first "output")
+        (str_field memo "output");
+      match Job.run spec with
+      | Ok out ->
+          Alcotest.(check string)
+            "byte-equal to Job.run" out (str_field memo "output")
+      | Error e -> Alcotest.failf "one-shot job failed: %s" e)
+    distinct_jobs solved;
+  let n = List.length distinct_jobs in
+  check "one solve per job" n (stats_int server "batches");
+  check "memo_hits" n (stats_int server "memo_hits");
+  check "serve.memo_hits" n (counter "serve.memo_hits" - hits0);
+  check "responses" (2 * n) (stats_int server "responses");
+  match Json.member "latency" (Server.stats_json server) with
+  | Some l -> check "latency counts memo answers" (2 * n) (int_field l "count")
+  | None -> Alcotest.fail "stats lacks latency object"
+
+(* Outputs that do not depend on the fingerprint alone are solved again on
+   every repeat: a deadline, resume, max_nodes, and errors. max_nodes
+   shows why: the same request prints an interval on a cold cache and the
+   exact value once the full solve is cached. *)
+let test_memo_excludes () =
+  with_fresh_cache @@ fun () ->
+  let server = Server.create () in
+  let bounded = {|{"job":"bw","network":"butterfly","n":8,"max_nodes":1}|} in
+  let output line = str_field (answer_of server line) "output" in
+  let cold = output bounded in
+  ignore (output {|{"job":"bw","network":"butterfly","n":8}|});
+  let warm = output bounded in
+  checkb "cold: an interval" true (String.sub cold 0 11 = "B_8: BW in ");
+  Alcotest.(check string) "warm: the exact value" "B_8: BW = 8\n" warm;
+  List.iter
+    (fun line ->
+      let batches0 = stats_int server "batches" in
+      for _ = 1 to 3 do
+        let obj = answer_of server line in
+        if bool_field obj "ok" then
+          check "solved, not remembered" 1 (int_field obj "batch")
+      done;
+      check (line ^ " solved on every repeat") 3
+        (stats_int server "batches" - batches0))
+    [
+      bounded;
+      {|{"job":"mos","j":3,"deadline":"10s"}|};
+      {|{"job":"bw","network":"butterfly","n":8,"resume":true}|};
+      {|{"job":"mos","j":0}|};
+    ];
+  check "no memo answers" 0 (stats_int server "memo_hits");
+  check "three errors" 3 (stats_int server "errors")
+
+(* The memo keeps 1,024 fingerprints: the 1,025th finished job evicts the
+   oldest, which is then solved again. *)
+let test_memo_eviction () =
+  with_fresh_cache @@ fun () ->
+  let server = Server.create () in
+  let line =
+    Printf.sprintf
+      {|{"job":"bw","solver":"spectral","network":"butterfly","n":8,"seed":%d}|}
+  in
+  for seed = 1 to 1025 do
+    ignore (replay server [ line seed ])
+  done;
+  check "1,025 solves" 1025 (stats_int server "batches");
+  let width seed = int_field (answer_of server (line seed)) "batch" in
+  check "the second oldest is remembered" 0 (width 2);
+  check "the newest is remembered" 0 (width 1025);
+  check "the oldest was evicted" 1 (width 1);
+  check "one more solve" 1026 (stats_int server "batches");
+  check "two memo answers" 2 (stats_int server "memo_hits")
+
+(* With the result cache off, nothing is remembered or answered from the
+   memo: --no-cache and BFLY_CACHE=off still force fresh solves. *)
+let test_memo_cache_off () =
+  with_fresh_cache @@ fun () ->
+  let server = Server.create () in
+  let kept = {|{"job":"mos","j":3}|} and fresh = {|{"job":"mos","j":4}|} in
+  ignore (replay server [ kept ]);
+  Config.set_enabled false;
+  List.iter (fun l -> ignore (answer_of server l)) [ kept; kept; fresh; fresh ];
+  check "every request solved while off" 5 (stats_int server "batches");
+  check "no memo answers while off" 0 (stats_int server "memo_hits");
+  Config.set_enabled true;
+  let width line = int_field (answer_of server line) "batch" in
+  check "nothing was remembered while off" 1 (width fresh);
+  check "the earlier entry answers again" 0 (width kept)
+
+(* The memo answers only after the unchanged admission verdicts: a client
+   at its bound, a full queue and a draining server are refused a
+   remembered request. *)
+let test_memo_after_verdicts () =
+  with_fresh_cache @@ fun () ->
+  let server = Server.create ~queue_bound:2 ~client_bound:1 () in
+  let c = Server.client server and other = Server.client server in
+  let remembered = {|{"id":"m","job":"mos","j":2}|} in
+  ignore (replay server [ remembered ]);
+  let answer ?(client = c) line =
+    let got = ref [] in
+    Server.submit server ~client ~reply:(fun r -> got := r :: !got) line;
+    match !got with
+    | [ r ] -> parse_response r
+    | _ -> Alcotest.fail "expected one immediate answer"
+  in
+  let refused what verdict obj =
+    checkb (what ^ ": refused") false (bool_field obj "ok");
+    Alcotest.(check string) (what ^ ": verdict") verdict (str_field obj "error")
+  in
+  check "an idle client gets the memo" 0
+    (int_field (answer remembered) "batch");
+  Server.submit server ~client:c ~reply:ignore {|{"job":"mos","j":5}|};
+  refused "client at its bound" "overloaded" (answer remembered);
+  Server.submit server ~client:other ~reply:ignore {|{"job":"mos","j":6}|};
+  refused "queue full" "overloaded" (answer ~client:other remembered);
+  ignore (Server.run_pending server);
+  Server.drain server;
+  refused "draining" "draining" (answer remembered);
+  let rejected =
+    match Json.member "rejected" (Server.stats_json server) with
+    | Some r -> r
+    | None -> Alcotest.fail "stats lacks rejected object"
+  in
+  check "client tally" 1 (int_field rejected "client");
+  check "overload tally" 1 (int_field rejected "overload");
+  check "drain tally" 1 (int_field rejected "drain");
+  check "one memo answer" 1 (stats_int server "memo_hits")
+
+(* The stats latency quantiles: nearest-rank over the window, each at or
+   below the same quantile of the latencies the caller saw (the server
+   times a request from admission to its answer, inside the caller's
+   span), and read identically by the gauges and the summary line. *)
+let test_stats_latency () =
+  with_fresh_cache @@ fun () ->
+  let server = Server.create () in
+  let seen = ref [] in
+  for _ = 1 to 4 do
+    List.iter
+      (fun j ->
+        let t0 = Bfly_obs.Span.now_ns () in
+        Server.submit server
+          ~reply:(fun _ -> seen := (Bfly_obs.Span.now_ns () - t0) :: !seen)
+          (Printf.sprintf {|{"job":"mos","j":%d}|} j);
+        ignore (Server.run_pending server))
+      [ 2; 3; 4 ]
+  done;
+  let seen = Array.of_list !seen in
+  Array.sort Int.compare seen;
+  let stats = Server.stats_json server in
+  let lat =
+    match Json.member "latency" stats with
+    | Some l -> l
+    | None -> Alcotest.fail "stats lacks latency object"
+  in
+  let p50 = int_field lat "p50_ns" and p99 = int_field lat "p99_ns" in
+  let max_ns = int_field lat "max_ns" in
+  check "count" 12 (int_field lat "count");
+  checkb "0 <= p50 <= p99 <= max" true
+    (0 <= p50 && p50 <= p99 && p99 <= max_ns);
+  checkb "p50 within the caller's" true (p50 <= Latency.quantile seen 0.5);
+  checkb "p99 within the caller's" true (p99 <= Latency.quantile seen 0.99);
+  checkb "max within the caller's" true (max_ns <= seen.(11));
+  let gauge name = int_of_float (Metrics.gauge_value (Metrics.gauge name)) in
+  check "p50 gauge" p50 (gauge "serve.latency.p50_ns");
+  check "p99 gauge" p99 (gauge "serve.latency.p99_ns");
+  let ms ns = float_of_int ns /. 1e6 in
+  Alcotest.(check string)
+    "summary"
+    (Printf.sprintf
+       "served 12 requests in 3 batches (0 coalesced, 9 from memo, 0 rejected, \
+        0 errors, p50 %.1fms, p99 %.1fms)"
+       (ms p50) (ms p99))
+    (Server.summary server)
+
 let suite =
   [
     slow_case "replay: 120 requests coalesce, bytes match one-shot"
@@ -1079,4 +1276,16 @@ let suite =
     case "chaos: dispatched replay answers everything under injected faults"
       test_chaos_dispatch;
     case "committed traces keep their coalescing keys" test_committed_keys;
+    case "memo: a finished twin answers at admission, byte-equal, batch 0"
+      test_memo_answer;
+    case "memo: deadline, resume, max_nodes and errors solve every repeat"
+      test_memo_excludes;
+    case "memo: the 1,025th finished job evicts the oldest"
+      test_memo_eviction;
+    case "memo: nothing remembered or answered with the cache off"
+      test_memo_cache_off;
+    case "memo: client bound, full queue and drain still refuse"
+      test_memo_after_verdicts;
+    case "stats: latency quantiles, gauges and summary agree"
+      test_stats_latency;
   ]
