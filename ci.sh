@@ -38,7 +38,8 @@
 #            sub-grid at one domain, zero per-instance drift against the
 #            committed CAMPAIGN_*.json full run, statistical oracle green
 #   warm     warm-cache determinism: second bench run serves from cache,
-#            values byte-identical
+#            values byte-identical; a repeated `bw ml butterfly 8` CLI
+#            run is one verified hit with the cold run's answer
 #   resume   interrupted exact search resumes to the uninterrupted value
 #   compare  bench --compare against the committed baseline: experiment
 #            outputs, gate counters and oracle summary must not drift
@@ -473,6 +474,31 @@ stage_warm() {
   }
   [ "$warm_nodes" -eq 0 ] || {
     echo "FAIL: warm run re-searched (bb nodes = $warm_nodes)" >&2
+    exit 1
+  }
+
+  # CLI hit probe: the second of two identical runs against one fresh
+  # store is exactly one verified hit — one cache.hit, one verify-on-hit
+  # recount (cuts.kernel.recounts; the answer's own validation recounts
+  # through Reference, which counts nothing), no verify failure — and
+  # prints the first run's answer
+  for run in cold warm; do
+    BFLY_CACHE_DIR="$scratch/cli-cache" dune exec -- bin/bfly_tool.exe \
+      bw ml butterfly 8 --metrics > "$scratch/cli-$run.txt"
+  done
+  [ "$(head -n 1 "$scratch/cli-cold.txt")" = "$(head -n 1 "$scratch/cli-warm.txt")" ] || {
+    echo "FAIL: warm CLI answer differs from the cold one" >&2
+    exit 1
+  }
+  cli_hits=$(extract 'cache.hit' "$scratch/cli-warm.txt")
+  cli_recounts=$(extract 'cuts.kernel.recounts' "$scratch/cli-warm.txt")
+  cli_fails=$(extract 'cache.verify_fail' "$scratch/cli-warm.txt")
+  echo "warm CLI hit: $(head -n 1 "$scratch/cli-warm.txt") —" \
+    "cache.hit $cli_hits, cuts.kernel.recounts $cli_recounts," \
+    "cache.verify_fail $cli_fails"
+  [ "$cli_hits" = 1 ] && [ "$cli_recounts" = 1 ] && [ "$cli_fails" = 0 ] || {
+    echo "FAIL: a warm CLI answer must be one verified hit" \
+      "(want cache.hit 1, cuts.kernel.recounts 1, cache.verify_fail 0)" >&2
     exit 1
   }
 }

@@ -27,32 +27,30 @@ let from_env () =
   in
   { enabled; dir; lru_capacity }
 
-let state = ref None
+(* The configuration is one immutable record behind an atomic cell, so a
+   read — one per cache lookup, and more — is a single [Atomic.get] with
+   no lock. Writers (set-up code and tests) serialize on [mutex] so that
+   two concurrent updates cannot lose each other's field. The first read
+   loads the environment; racing first reads load equal records. *)
+let state : t option Atomic.t = Atomic.make None
 let mutex = Mutex.create ()
 
-let with_state f =
-  Mutex.lock mutex;
-  let cur = match !state with
-    | Some s -> s
-    | None ->
-        let s = from_env () in
-        state := Some s;
-        s
-  in
-  let r = f cur in
-  Mutex.unlock mutex;
-  r
+let current () =
+  match Atomic.get state with
+  | Some s -> s
+  | None ->
+      let s = from_env () in
+      if Atomic.compare_and_set state None (Some s) then s
+      else Option.get (Atomic.get state)
 
-let update f = with_state (fun s -> state := Some (f s))
+let update f =
+  Mutex.protect mutex (fun () -> Atomic.set state (Some (f (current ()))))
 
-let enabled () = with_state (fun s -> s.enabled)
+let enabled () = (current ()).enabled
 let set_enabled b = update (fun s -> { s with enabled = b })
-let dir () = with_state (fun s -> s.dir)
+let dir () = (current ()).dir
 let set_dir d = update (fun s -> { s with dir = d })
-let lru_capacity () = with_state (fun s -> s.lru_capacity)
+let lru_capacity () = (current ()).lru_capacity
 let set_lru_capacity k = update (fun s -> { s with lru_capacity = max 0 k })
 
-let reload () =
-  Mutex.lock mutex;
-  state := Some (from_env ());
-  Mutex.unlock mutex
+let reload () = Mutex.protect mutex (fun () -> Atomic.set state (Some (from_env ())))

@@ -10,9 +10,10 @@
     - [BFLY_CACHE_LRU=k] caps the in-memory tier at [k] entries
       (default 512; [0] keeps only the disk tier).
 
-    All accessors are safe to call from any domain; configuration writes
-    are meant for process setup (CLI flag parsing, test fixtures), not for
-    concurrent mutation mid-search. *)
+    All accessors are safe to call from any domain, and reads take no
+    lock (one atomic load: the store reads the configuration on every
+    lookup); configuration writes are meant for process setup (CLI flag
+    parsing, test fixtures), not for concurrent mutation mid-search. *)
 
 (** Whether the cache is active. [false] when [BFLY_CACHE=off] (case
     insensitive; [0], [no] and [false] are also honoured) or after

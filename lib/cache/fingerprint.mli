@@ -1,5 +1,8 @@
 (** Stable structural fingerprints (64-bit FNV-1a) for cache keys.
 
+    Every combinator is a loop over an unboxed accumulator: it allocates
+    only the fingerprint it returns.
+
     A fingerprint is a running hash over a canonical byte stream: every
     combinator feeds a type tag plus the value's canonical encoding, so
     [int 3] and [string "3"] hash differently and concatenation ambiguity
@@ -34,9 +37,11 @@ val bitset : t -> Bfly_graph.Bitset.t -> t
 
 (** Fold a graph canonically: node count, edge count, then the normalized
     edge multiset in sorted order — read straight off the graph's own
-    sorted edge list, one word-granularity absorption per endpoint: no
+    ascending CSR rows, one word-granularity absorption per endpoint: no
     copy, no re-sort. Structurally equal graphs fold to equal
-    fingerprints. O(m). *)
+    fingerprints. O(m) the first time; [graph seed g] is then kept in [g]
+    ({!Bfly_graph.Graph.fingerprint}), so every later call on the same
+    graph value is O(1). *)
 val graph : t -> Bfly_graph.Graph.t -> t
 
 (** 16-hex-digit rendering, e.g. ["cbf29ce484222325"]. *)

@@ -7,6 +7,8 @@ let c_hit_disk = Metrics.counter "cache.hit.disk"
 let c_miss = Metrics.counter "cache.miss"
 let c_evict = Metrics.counter "cache.evict"
 let c_verify_fail = Metrics.counter "cache.verify_fail"
+let t_lookup = Metrics.timer "cache.lookup"
+let t_store = Metrics.timer "cache.store"
 
 let mutex = Mutex.create ()
 let lru : Codec.payload Lru.t = Lru.create ~capacity:0
@@ -37,7 +39,7 @@ let serve ~key ~decode ~verify ~tier payload =
 let lookup ~key ~decode ~verify =
   if not (Config.enabled ()) then None
   else
-    Span.time ~name:"cache.lookup" @@ fun () ->
+    Span.time t_lookup @@ fun () ->
     let digest = Key.digest key in
     let mem = locked (fun () -> Lru.find lru digest) in
     let result =
@@ -64,7 +66,7 @@ let lookup ~key ~decode ~verify =
 
 let put ~key ~encode v =
   if Config.enabled () then
-    Span.time ~name:"cache.store" @@ fun () ->
+    Span.time t_store @@ fun () ->
     let payload = encode v in
     Disk.store ~dir:(Config.dir ()) key payload;
     locked (fun () ->

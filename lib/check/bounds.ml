@@ -262,6 +262,7 @@ let hamming_bounds = Fabric.hamming_bounds
 let fabric_bounds = Fabric.bounds
 
 let c_sandwich = Bfly_obs.Metrics.counter "product.sandwich.checks"
+let t_bounds = Bfly_obs.Metrics.timer "check.bounds"
 
 let product_rng () = Random.State.make [| 0xfab; 0x5eed |]
 
@@ -367,7 +368,7 @@ let product_networks ~smoke =
       ]
 
 let all ~smoke =
-  Bfly_obs.Span.time ~name:"check.bounds" @@ fun () ->
+  Bfly_obs.Span.time t_bounds @@ fun () ->
   let laws =
     if smoke then
       [ wrapped_law ~log_n:2; ccc_law ~log_n:2 ] @ butterfly_sandwich ~log_n:2

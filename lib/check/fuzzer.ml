@@ -190,9 +190,10 @@ let oracle_rng ~seed ~round ~index =
   Random.State.make [| seed; round; index; 0x0b5e55ed |]
 
 let crashes_counter = Metrics.counter "check.fuzz.crashes_survived"
+let t_fuzz = Metrics.timer "check.fuzz"
 
 let run ?(oracles = Oracle.all) ?(chaos = false) ~seed ~rounds () =
-  Bfly_obs.Span.time ~name:"check.fuzz" @@ fun () ->
+  Bfly_obs.Span.time t_fuzz @@ fun () ->
   let pool_before = Parallel.pool_size () in
   let faults_before = Fault.injected_total () in
   let oracle_runs = ref 0

@@ -4,6 +4,7 @@ module Metrics = Bfly_obs.Metrics
 module Span = Bfly_obs.Span
 
 let c_bounds = Metrics.counter "cuts.certificate.kn"
+let t_certificate = Metrics.timer "cuts.certificate"
 
 (* Map every CSR arc to the index of its undirected endpoint pair in
    [G.edges g] (parallel edges share the first matching index: the
@@ -80,7 +81,7 @@ let kn_congestion g =
   if n <= 1 then Some 0
   else if G.n_edges g = 0 then None
   else
-    Span.time ~name:"cuts.certificate" @@ fun () ->
+    Span.time t_certificate @@ fun () ->
     let arc_bundle, n_bundles = arc_bundles g in
     let chunks =
       Parallel.run_chunks ~lo:0 ~hi:n (fun ~lo ~hi ->

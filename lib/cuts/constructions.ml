@@ -250,6 +250,7 @@ let best_dimension_cut ~dims g =
   match !best with Some r -> r | None -> assert false
 
 let c_candidates = Bfly_obs.Metrics.counter "constructions.mos.candidates"
+let t_pullback = Bfly_obs.Metrics.timer "constructions.mos_pullback"
 
 (* ---- result cache for the pullback sweep ----
    The instance is fully determined by [log n]; the sweep is deterministic
@@ -297,11 +298,11 @@ let best_mos_pullback ?(max_classes = 256) ?cancel b =
   let cancel = Cancel.resolve cancel in
   let ell = Butterfly.log_n b in
   if ell < 2 then invalid_arg "Constructions.best_mos_pullback: log n < 2";
-  Bfly_obs.Span.time ~name:"constructions.mos_pullback" @@ fun () ->
+  Bfly_obs.Span.time t_pullback @@ fun () ->
   let key =
     Bfly_cache.Key.make ~solver:"cuts.constructions.best_mos_pullback"
       ~salt:"mos-pullback/1"
-      ~params:[ ("max_classes", string_of_int max_classes) ]
+      ~params:[ ("max_classes", Bfly_obs.Json.decimal max_classes) ]
       ~fingerprint:
         Bfly_cache.Fingerprint.(int (string seed "butterfly") ell)
   in

@@ -268,6 +268,7 @@ let bisection_width_instrumented ?u ?upper_bound ?(degree_bound = true) g =
 let c_nodes = Metrics.counter "exact.bb.nodes"
 let c_prefixes = Metrics.counter "exact.bb.prefixes"
 let g_best = Metrics.gauge "exact.bb.best_capacity"
+let t_bisection_width = Metrics.timer "exact.bisection_width"
 
 (* ---- result cache ----
    A successful run — bounded or not — returns the global minimum over the
@@ -461,7 +462,7 @@ let prefix_bound bb ~p code =
 let search ?u ?upper_bound ~cancel ~resume g =
   let n = G.n_nodes g in
   if n = 0 then invalid_arg "Exact: empty graph";
-  Span.time ~name:"exact.bisection_width" @@ fun () ->
+  Span.time t_bisection_width @@ fun () ->
   let key = cache_key ?u g in
   match
     Cache.lookup ~key ~decode:(cache_decode n) ~verify:(cache_verify ?u g)

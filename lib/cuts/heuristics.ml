@@ -8,6 +8,11 @@ module Cancel = Bfly_resil.Cancel
 
 let default_rng () = Random.State.make [| 0x5eed |]
 
+let t_kl = Metrics.timer "heuristics.kl"
+let t_fm = Metrics.timer "heuristics.fm"
+let t_sa = Metrics.timer "heuristics.sa"
+let t_portfolio = Metrics.timer "heuristics.portfolio"
+
 (* Restart seeds are drawn sequentially from the caller's rng so the work
    list is fixed before any domain runs: results depend on the seed, never
    on the domain count or completion order. *)
@@ -59,9 +64,9 @@ let cut_verify g (c, side) =
   && card <= (n + 1) / 2
   && Bfly_graph.Traverse.boundary_edges g side = c
 
-let cached_kernel ~kernel ~salt ~params ~seeds ~cancel g compute =
+let cached_kernel ~solver ~salt ~params ~seeds ~cancel g compute =
   let key =
-    Key.make ~solver:("cuts.heuristics." ^ kernel) ~salt ~params
+    Key.make ~solver ~salt ~params
       ~fingerprint:(Fp.int_array (Fp.graph Fp.seed g) seeds)
   in
   match
@@ -75,6 +80,11 @@ let cached_kernel ~kernel ~salt ~params ~seeds ~cancel g compute =
          degraded value as if it were the converged one *)
       if not (Cancel.stop cancel) then Cache.put ~key ~encode:cut_encode v;
       v
+
+let best_restart ~kernel ~restarts restart =
+  let c, side = Parallel.best_of ~compare:by_capacity ~restarts restart in
+  record_kernel ~kernel ~restarts ~capacity:c;
+  (c, side)
 
 let random_balanced_side ~rng n =
   let perm = Bfly_graph.Perm.random ~rng n in
@@ -202,11 +212,11 @@ let kl_pass g st =
 let kernighan_lin ?rng ?(restarts = 4) ?cancel g =
   let rng = match rng with Some r -> r | None -> default_rng () in
   let cancel = Cancel.resolve cancel in
-  Span.time ~name:"heuristics.kl" @@ fun () ->
+  Span.time t_kl @@ fun () ->
   let n = G.n_nodes g in
   let seeds = derive_seeds rng restarts in
-  cached_kernel ~kernel:"kl" ~salt:"kl/1"
-    ~params:[ ("restarts", string_of_int restarts) ]
+  cached_kernel ~solver:"cuts.heuristics.kl" ~salt:"kl/1"
+    ~params:[ ("restarts", Bfly_obs.Json.decimal restarts) ]
     ~seeds ~cancel g
   @@ fun () ->
   let restart i =
@@ -218,9 +228,7 @@ let kernighan_lin ?rng ?(restarts = 4) ?cancel g =
     done;
     (State.capacity st, State.side st)
   in
-  let c, side = Parallel.best_of ~compare:by_capacity ~restarts restart in
-  record_kernel ~kernel:"kl" ~restarts ~capacity:c;
-  (c, side)
+  best_restart ~kernel:"kl" ~restarts restart
 
 (* ------------------------------------------------------------------ *)
 (* Fiduccia–Mattheyses (heap-based single-node moves, tolerance 1)     *)
@@ -348,11 +356,11 @@ let fm_descend ?cancel g st =
 let fiduccia_mattheyses ?rng ?(restarts = 4) ?cancel g =
   let rng = match rng with Some r -> r | None -> default_rng () in
   let cancel = Cancel.resolve cancel in
-  Span.time ~name:"heuristics.fm" @@ fun () ->
+  Span.time t_fm @@ fun () ->
   let n = G.n_nodes g in
   let seeds = derive_seeds rng restarts in
-  cached_kernel ~kernel:"fm" ~salt:"fm/1"
-    ~params:[ ("restarts", string_of_int restarts) ]
+  cached_kernel ~solver:"cuts.heuristics.fm" ~salt:"fm/1"
+    ~params:[ ("restarts", Bfly_obs.Json.decimal restarts) ]
     ~seeds ~cancel g
   @@ fun () ->
   let restart i =
@@ -361,9 +369,7 @@ let fiduccia_mattheyses ?rng ?(restarts = 4) ?cancel g =
     fm_descend ?cancel g st;
     (State.capacity st, State.side st)
   in
-  let c, side = Parallel.best_of ~compare:by_capacity ~restarts restart in
-  record_kernel ~kernel:"fm" ~restarts ~capacity:c;
-  (c, side)
+  best_restart ~kernel:"fm" ~restarts restart
 
 (* ------------------------------------------------------------------ *)
 (* Spectral                                                            *)
@@ -373,8 +379,8 @@ let spectral g =
   (* fully deterministic (fixed start vector, fixed iteration count):
      keyed on the graph alone. Deliberately not cancellable — it is cheap
      and its determinism anchors the portfolio even under tight budgets. *)
-  cached_kernel ~kernel:"spectral" ~salt:"spectral/1" ~params:[] ~seeds:[||]
-    ~cancel:None g
+  cached_kernel ~solver:"cuts.heuristics.spectral" ~salt:"spectral/1"
+    ~params:[] ~seeds:[||] ~cancel:None g
   @@ fun () ->
   let n = G.n_nodes g in
   let c = float_of_int (G.max_degree g + 1) in
@@ -536,21 +542,22 @@ let anneal_once ?cancel ~rng ~steps g =
 let annealing ?rng ?steps ?(restarts = 1) ?cancel g =
   let rng = match rng with Some r -> r | None -> default_rng () in
   let cancel = Cancel.resolve cancel in
-  Span.time ~name:"heuristics.sa" @@ fun () ->
+  Span.time t_sa @@ fun () ->
   let n = G.n_nodes g in
   let steps = match steps with Some s -> s | None -> min 2_000_000 (400 * n) in
   let seeds = derive_seeds rng restarts in
-  cached_kernel ~kernel:"sa" ~salt:"sa/1"
+  cached_kernel ~solver:"cuts.heuristics.sa" ~salt:"sa/1"
     ~params:
-      [ ("restarts", string_of_int restarts); ("steps", string_of_int steps) ]
+      [
+        ("restarts", Bfly_obs.Json.decimal restarts);
+        ("steps", Bfly_obs.Json.decimal steps);
+      ]
     ~seeds ~cancel g
   @@ fun () ->
   let restart i =
     anneal_once ?cancel ~rng:(Random.State.make [| 0x5a5a; seeds.(i) |]) ~steps g
   in
-  let c, side = Parallel.best_of ~compare:by_capacity ~restarts restart in
-  record_kernel ~kernel:"sa" ~restarts ~capacity:c;
-  (c, side)
+  best_restart ~kernel:"sa" ~restarts restart
 
 let best_of ?rng ?cancel g =
   let rng = match rng with Some r -> r | None -> default_rng () in
@@ -559,7 +566,7 @@ let best_of ?rng ?cancel g =
      resolving eagerly keeps the portfolio's behavior independent of when
      each member happens to start) *)
   let cancel = Cancel.resolve cancel in
-  Span.time ~name:"heuristics.portfolio" @@ fun () ->
+  Span.time t_portfolio @@ fun () ->
   let n = G.n_nodes g in
   (* each method gets its own rng seeded up front, so the portfolio can run
      its members concurrently (each member also parallelizes its restarts

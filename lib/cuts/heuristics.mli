@@ -85,3 +85,37 @@ val best_of :
     the best cut found, labeled by the winning method (earliest listed wins
     ties, so the label is deterministic too). The token (explicit, else
     ambient) is resolved once and handed to every cancellable member. *)
+
+(** {1 The restart driver}
+
+    Shared with {!Multilevel.bisect}, so every seeded cut is keyed,
+    verified and stored one way. *)
+
+val derive_seeds : Random.State.t -> int -> int array
+(** [derive_seeds rng k] draws [k] restart seeds from [rng], in order —
+    the draws a computed run and a cache hit both make. *)
+
+val cached_kernel :
+  solver:string ->
+  salt:string ->
+  params:(string * string) list ->
+  seeds:int array ->
+  cancel:Bfly_resil.Cancel.t option ->
+  Bfly_graph.Graph.t ->
+  (unit -> int * Bfly_graph.Bitset.t) ->
+  int * Bfly_graph.Bitset.t
+(** [cached_kernel ~solver ~salt ~params ~seeds ~cancel g compute] serves
+    the cut cached under [solver], [salt], [params] (in order), the graph
+    and [seeds] once it decodes, is balanced and its capacity recounts
+    ({!Bfly_graph.Traverse.boundary_edges}); otherwise it runs [compute]
+    and stores the cut, unless [cancel] has fired. *)
+
+val best_restart :
+  kernel:string ->
+  restarts:int ->
+  (int -> int * Bfly_graph.Bitset.t) ->
+  int * Bfly_graph.Bitset.t
+(** [best_restart ~kernel ~restarts restart] runs [restart i] for
+    [i < restarts] on the pool, keeps the cheapest cut (the earliest on
+    ties) and records [heuristics.<kernel>.restarts] and
+    [heuristics.<kernel>.best_capacity]. *)

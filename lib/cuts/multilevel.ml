@@ -6,10 +6,6 @@ module Metrics = Bfly_obs.Metrics
 module Span = Bfly_obs.Span
 module State = Cut.State
 module Cancel = Bfly_resil.Cancel
-module Cache = Bfly_cache.Store
-module Key = Bfly_cache.Key
-module Codec = Bfly_cache.Codec
-module Fp = Bfly_cache.Fingerprint
 
 type config = { matching_ratio : float; coarsening_threshold : int }
 
@@ -17,6 +13,9 @@ let default_config = { matching_ratio = 0.9; coarsening_threshold = 64 }
 
 let ml_levels = Metrics.counter "ml.levels"
 let ml_moves = Metrics.counter "ml.refine.moves"
+let t_coarsen = Metrics.timer "ml.coarsen"
+let t_refine = Metrics.timer "ml.refine"
+let t_ml = Metrics.timer "heuristics.ml"
 let ml_arena = Arena.create ()
 
 (* ------------------------------------------------------------------ *)
@@ -338,7 +337,7 @@ module Refine = struct
     !best_cap < start_cap
 
   let refine ?cancel ~vwgt ~tolerance g side =
-    Span.time ~name:"ml.refine" @@ fun () ->
+    Span.time t_refine @@ fun () ->
     let st = State.create g side in
     let total = Array.fold_left ( + ) 0 vwgt in
     let wa = ref (weight_of ~vwgt side) in
@@ -364,7 +363,7 @@ let descent ~config ~cancel ~rng ?side g =
       (acc, g, vwgt, side)
     else
       match
-        Span.time ~name:"ml.coarsen" @@ fun () ->
+        Span.time t_coarsen @@ fun () ->
         Coarsen.step ?side ~matching_ratio:config.matching_ratio ~rng ~vwgt g
       with
       | None -> (acc, g, vwgt, side)
@@ -439,57 +438,27 @@ let vcycle ~config ~cancel ~seed g =
 
 let default_rng () = Random.State.make [| 0x5eed |]
 
-let derive_seeds rng k =
-  let seeds = Array.make k 0 in
-  for i = 0 to k - 1 do
-    seeds.(i) <- Random.State.bits rng
-  done;
-  seeds
+(* The key's config params, rendered once for the default config:
+   [string_of_float] alone costs more than the rest of a cached call's
+   key. *)
+let config_params c =
+  [
+    ("matching_ratio", string_of_float c.matching_ratio);
+    ("coarsening_threshold", Bfly_obs.Json.decimal c.coarsening_threshold);
+  ]
 
-let by_capacity (c1, _) (c2, _) = Stdlib.compare c1 c2
-
-let cut_encode (c, side) =
-  [ ("value", Codec.Int c); ("witness", Codec.bits side) ]
-
-let cut_decode n payload =
-  match
-    (Codec.get_int payload "value", Codec.get_bits payload "witness" ~capacity:n)
-  with
-  | Some c, Some side -> Some (c, side)
-  | _ -> None
-
-let cut_verify g (c, side) =
-  let n = G.n_nodes g in
-  let card = Bitset.cardinal side in
-  card >= n / 2
-  && card <= (n + 1) / 2
-  && Bfly_graph.Traverse.boundary_edges g side = c
+let default_params = config_params default_config
 
 let bisect ?rng ?(restarts = 4) ?(config = default_config) ?cancel g =
   let rng = match rng with Some r -> r | None -> default_rng () in
   let cancel = Cancel.resolve cancel in
-  Span.time ~name:"heuristics.ml" @@ fun () ->
-  let seeds = derive_seeds rng restarts in
-  let key =
-    Key.make ~solver:"cuts.heuristics.ml" ~salt:"ml/1"
-      ~params:
-        [
-          ("restarts", string_of_int restarts);
-          ("matching_ratio", string_of_float config.matching_ratio);
-          ("coarsening_threshold", string_of_int config.coarsening_threshold);
-        ]
-      ~fingerprint:(Fp.int_array (Fp.graph Fp.seed g) seeds)
-  in
-  match
-    Cache.lookup ~key ~decode:(cut_decode (G.n_nodes g)) ~verify:(cut_verify g)
-  with
-  | Some v -> v
-  | None ->
-      let restart i = vcycle ~config ~cancel ~seed:seeds.(i) g in
-      let c, side = Parallel.best_of ~compare:by_capacity ~restarts restart in
-      Metrics.add (Metrics.counter "heuristics.ml.restarts") restarts;
-      Metrics.set
-        (Metrics.gauge "heuristics.ml.best_capacity")
-        (float_of_int c);
-      if not (Cancel.stop cancel) then Cache.put ~key ~encode:cut_encode (c, side);
-      (c, side)
+  Span.time t_ml @@ fun () ->
+  let seeds = Heuristics.derive_seeds rng restarts in
+  Heuristics.cached_kernel ~solver:"cuts.heuristics.ml" ~salt:"ml/1"
+    ~params:
+      (("restarts", Bfly_obs.Json.decimal restarts)
+      :: (if config = default_config then default_params else config_params config))
+    ~seeds ~cancel g
+  @@ fun () ->
+  Heuristics.best_restart ~kernel:"ml" ~restarts (fun i ->
+      vcycle ~config ~cancel ~seed:seeds.(i) g)

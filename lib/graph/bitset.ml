@@ -2,50 +2,52 @@ type t = { n : int; words : int array }
 
 let bits_per_word = 63 (* OCaml native ints: use 63 low bits, portable *)
 
-let create n =
-  assert (n >= 0);
-  { n; words = Array.make ((n + bits_per_word - 1) / bits_per_word + 1) 0 }
-
-let capacity s = s.n
-let word_count s = Array.length s.words
-let unsafe_words s = s.words
-let index i = (i / bits_per_word, i mod bits_per_word)
-
 (* Division by 63 as a multiply-shift: ocamlopt does not strength-reduce
    division by a non-power-of-two constant, and the partitioner flip loops
    pay that latency once per neighbor. With M = ceil(2^36 / 63) the excess
    M*63 - 2^36 = 62, so floor(i*M / 2^36) = i/63 for all
    0 <= i <= 2^36/62 > 2^30 (Granlund–Montgomery), and i*M stays well
-   under 2^62 — verified exhaustively over the low and high ten million
-   ids of the domain. Graph node ids are capped at [Graph.max_packed_n]
-   = 2^30 - 1, inside the proven range. *)
+   under 2^62. test_bitset checks it against [/] and [mod] on [0, 2^30).
+   [create] refuses capacities above [max_capacity], so every member —
+   and every word count computed below — stays inside the proven range;
+   graph node ids are capped at [Graph.max_packed_n] = 2^30 - 1. *)
 let word_index i = (i * 1090785346) lsr 36
 let bit_index i = i - (bits_per_word * word_index i)
+
+let max_capacity = 1 lsl 30
+
+let create n =
+  if n < 0 || n > max_capacity then
+    invalid_arg "Bitset.create: capacity outside [0, 2^30]";
+  { n; words = Array.make (word_index (n + bits_per_word - 1) + 1) 0 }
+
+let capacity s = s.n
+let word_count s = Array.length s.words
+let unsafe_words s = s.words
 
 let check s i =
   assert (i >= 0 && i < s.n)
 
 let mem s i =
   check s i;
-  let w, b = index i in
-  s.words.(w) land (1 lsl b) <> 0
+  s.words.(word_index i) land (1 lsl bit_index i) <> 0
 
 let add s i =
   check s i;
-  let w, b = index i in
-  s.words.(w) <- s.words.(w) lor (1 lsl b)
+  let w = word_index i in
+  s.words.(w) <- s.words.(w) lor (1 lsl bit_index i)
 
 let remove s i =
   check s i;
-  let w, b = index i in
-  s.words.(w) <- s.words.(w) land lnot (1 lsl b)
+  let w = word_index i in
+  s.words.(w) <- s.words.(w) land lnot (1 lsl bit_index i)
 
 let set s i b = if b then add s i else remove s i
 
 let flip s i =
   check s i;
-  let w, b = index i in
-  s.words.(w) <- s.words.(w) lxor (1 lsl b)
+  let w = word_index i in
+  s.words.(w) <- s.words.(w) lxor (1 lsl bit_index i)
 
 (* SWAR popcount over one 63-bit word. Bit 62 is the native sign bit, so the
    0x5555… mask does not fit as a literal (max_int = 0x3FFF…); it is built by

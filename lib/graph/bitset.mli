@@ -20,7 +20,12 @@ type t
 (** Bits stored per backing word (63: native [int] minus the tag bit). *)
 val bits_per_word : int
 
-(** [create n] is the empty set over universe [0, n). *)
+(** Largest capacity {!create} accepts: [2^30], the range on which
+    {!word_index} and {!bit_index} are proven exact. *)
+val max_capacity : int
+
+(** [create n] is the empty set over universe [0, n).
+    @raise Invalid_argument when [n < 0] or [n > max_capacity]. *)
 val create : int -> t
 
 (** Capacity of the universe (the [n] given to {!create}). *)
@@ -43,10 +48,11 @@ val popcount_word : int -> int
 
 (** [word_index i] is [i / bits_per_word] and {!bit_index}[ i] is
     [i mod bits_per_word], computed by a multiply-shift reciprocal instead
-    of hardware division. Valid for [0 <= i <= 2^30 - 1] — every graph
-    node id ({!Graph.max_packed_n}); out of that range the result is
-    silently wrong, so these are for kernel inner loops, not general
-    arithmetic. *)
+    of hardware division. Valid for [0 <= i <= 2^30] — every member of a
+    set {!create} accepts, and every graph node id
+    ({!Graph.max_packed_n}); out of that range the result is silently
+    wrong, so these are for kernel inner loops, not general arithmetic.
+    {!mem}, {!add}, {!remove} and {!flip} locate bits with them. *)
 val word_index : int -> int
 
 val bit_index : int -> int

@@ -4,6 +4,7 @@ type t = {
   adj : int array; (* length 2m; adj.(offsets.(u)..offsets.(u+1)-1) = nbrs of u *)
   ep_u : int array; (* per edge: (word lsl 6) lor bit of the u endpoint *)
   ep_v : int array; (* per edge: same packing for the v endpoint *)
+  fingerprint : int64 option Atomic.t; (* see [fingerprint] below *)
 }
 (* The packed endpoint arrays are also the edge list: edge e is
    (unpack ep_u.(e), unpack ep_v.(e)), normalized u <= v, sorted, with
@@ -45,7 +46,7 @@ let of_sorted ~n us vs =
     ep_u.(e) <- pack_pos u;
     ep_v.(e) <- pack_pos v
   done;
-  { n; offsets; adj; ep_u; ep_v }
+  { n; offsets; adj; ep_u; ep_v; fingerprint = Atomic.make None }
 
 (* Sort normalized (u <= v) edges packed as the int keys u*n + v: key order
    is exactly the lexicographic order of the pairs (v < n), sorted with the
@@ -122,14 +123,15 @@ let fold_neighbors g u init f =
 let neighbors g u =
   Array.sub g.adj g.offsets.(u) (degree g u)
 
+let edge_u g e = unpack_pos g.ep_u.(e)
+let edge_v g e = unpack_pos g.ep_v.(e)
+
 let iter_edges g f =
   for e = 0 to Array.length g.ep_u - 1 do
-    f (unpack_pos g.ep_u.(e)) (unpack_pos g.ep_v.(e))
+    f (edge_u g e) (edge_v g e)
   done
 
-let edges g =
-  Array.init (Array.length g.ep_u) (fun e ->
-      (unpack_pos g.ep_u.(e), unpack_pos g.ep_v.(e)))
+let edges g = Array.init (Array.length g.ep_u) (fun e -> (edge_u g e, edge_v g e))
 
 (* Word-indexed cut capacity: one branch-free test per edge against the
    side's backing words. The packed endpoint arrays cache each endpoint's
@@ -187,6 +189,18 @@ let union_disjoint a b =
   of_edges ~n:(a.n + b.n) (Array.append (edges a) eb)
 
 let equal a b = a.n = b.n && a.ep_u = b.ep_u && a.ep_v = b.ep_v
+
+(* A graph is immutable, so its fingerprint is a constant: the first
+   caller computes it and every later one reads it. Domains racing on the
+   first use each compute the same value and store it; whichever store
+   lands, every reader sees either [None] (and computes) or that value. *)
+let fingerprint g compute =
+  match Atomic.get g.fingerprint with
+  | Some h -> h
+  | None ->
+      let h = compute g in
+      Atomic.set g.fingerprint (Some h);
+      h
 
 let degree_histogram g =
   let h = Array.make (max_degree g + 1) 0 in

@@ -43,7 +43,10 @@ val max_degree : t -> int
 val csr_offsets : t -> int array
 
 (** The CSR adjacency array itself (length [2 * n_edges g]) — not a copy.
-    Same borrowing contract as {!csr_offsets}. *)
+    Same borrowing contract as {!csr_offsets}. Each row lists its
+    neighbors in ascending order, with multiplicity, so the entries
+    [v > u] of the rows [u = 0, 1, ...] are the normalized edge list in
+    {!iter_edges} order. *)
 val csr_adj : t -> int array
 
 (** [cut_size g side] is the number of edges (with multiplicity) with exactly
@@ -65,6 +68,13 @@ val neighbors : t -> int -> int array
 (** [iter_edges g f] applies [f u v] once per undirected edge (with
     multiplicity), with [u <= v]. *)
 val iter_edges : t -> (int -> int -> unit) -> unit
+
+(** [edge_u g e] and {!edge_v}[ g e] are the endpoints of edge [e]
+    ([0 <= e < n_edges g]), normalized [u <= v], in {!iter_edges} order:
+    an edge-list loop with no closure and no pair. *)
+val edge_u : t -> int -> int
+
+val edge_v : t -> int -> int
 
 (** The edges as a fresh array of normalized pairs [(u, v)], [u <= v], in
     {!iter_edges} order. Allocates one pair per edge (the graph stores
@@ -90,8 +100,16 @@ val relabel : t -> Perm.t -> t
 val union_disjoint : t -> t -> t
 
 (** Structural equality: same node count and same multiset of normalized
-    edges. *)
+    edges. Compare graphs with this, not with [(=)]: a graph also carries
+    its memoized {!fingerprint}. *)
 val equal : t -> t -> bool
+
+(** [fingerprint g compute] is [compute g], computed on the first call
+    for [g] and read back on every later one. The slot belongs to
+    [Bfly_cache.Fingerprint.graph], whose [compute] is a pure function of
+    the edge list; any [compute] must be. Safe under concurrent first use:
+    racing callers each compute the same value, and none waits. *)
+val fingerprint : t -> (t -> int64) -> int64
 
 (** [degree_histogram g] maps degree [d] to the number of nodes of degree
     [d], as an array of length [max_degree g + 1]. *)

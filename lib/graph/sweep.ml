@@ -9,6 +9,7 @@ let points ~sizes ~seeds =
     sizes
 
 let c_points = Metrics.counter "sweep.points"
+let t_sweep = Metrics.timer "graph.sweep"
 
 let run ?cancel ~sizes ~seeds f =
   if seeds < 0 then invalid_arg "Sweep.run: seeds must be >= 0";
@@ -21,7 +22,7 @@ let run ?cancel ~sizes ~seeds f =
         Metrics.incr c_points)
       pts
   in
-  Span.time ~name:"graph.sweep" (fun () -> Parallel.run_tasks ?cancel tasks);
+  Span.time t_sweep (fun () -> Parallel.run_tasks ?cancel tasks);
   Array.map
     (function
       | Some v -> v

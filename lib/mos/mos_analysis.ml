@@ -45,7 +45,7 @@ let bw_m2 j =
   let open Bfly_cache in
   let key =
     Key.make ~solver:"mos.bw_m2" ~salt:"bw_m2/1"
-      ~params:[ ("j", string_of_int j) ]
+      ~params:[ ("j", Bfly_obs.Json.decimal j) ]
       ~fingerprint:(Fingerprint.int Fingerprint.seed j)
   in
   let encode (v, a, b, m2_in_a) =

@@ -27,6 +27,12 @@ type t =
 val to_buffer : Buffer.t -> t -> unit
 (** [to_buffer buf v] appends the compact serialization of [v] to [buf]. *)
 
+val decimal : int -> string
+(** [decimal n] is [string_of_int n] — the digits an [Int n] prints as —
+    written by an OCaml digit loop rather than the C formatter, which
+    parses its format on every call. Answer lines and cache-key
+    parameters render their integers with it. *)
+
 val to_string : t -> string
 (** [to_string v] is the compact (single-line) serialization of [v]. *)
 

@@ -36,7 +36,10 @@ let timer name =
       { t_count = Atomic.make 0; t_total = Atomic.make 0; t_max = Atomic.make 0 })
 
 let incr c = ignore (Atomic.fetch_and_add c 1)
-let add c n = ignore (Atomic.fetch_and_add c n)
+(* adding 0 — e.g. "evicted nothing" on every cache probe — skips the
+   atomic write, which would otherwise bounce the counter's cache line
+   between domains *)
+let add c n = if n <> 0 then ignore (Atomic.fetch_and_add c n)
 let set g v = Atomic.set g v
 
 let rec atomic_max cell v =

@@ -7,17 +7,9 @@
 val now_ns : unit -> int
 (** Nanoseconds on the monotonic clock. Only differences are meaningful. *)
 
-type t
-(** An open span: a start timestamp bound to a {!Metrics.timer}. *)
-
-val start : string -> t
-(** [start name] opens a span recording into [Metrics.timer name]. *)
-
-val finish : t -> int
-(** [finish span] closes the span, records its duration into the timer it
-    was started against, and returns the elapsed nanoseconds. Finishing
-    the same span twice records two (increasingly long) durations — don't. *)
-
-val time : name:string -> (unit -> 'a) -> 'a
-(** [time ~name f] runs [f ()] inside a span, recording its duration into
-    [Metrics.timer name] even if [f] raises. *)
+val time : Metrics.timer -> (unit -> 'a) -> 'a
+(** [time timer f] runs [f ()] and records its duration into [timer],
+    even if [f] raises (the exception is re-raised with its backtrace).
+    Callers register the timer once, at module initialisation
+    ([let t_solve = Metrics.timer "area.kernel"]), so a span costs two
+    clock reads and the timer update, with no registry lookup. *)

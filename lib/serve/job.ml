@@ -8,6 +8,8 @@ module Invariants = Bfly_check.Invariants
 module Lru = Bfly_cache.Lru
 module Json = Bfly_obs.Json
 
+let decimal = Json.decimal
+
 module Fabric = Bfly_networks.Fabric
 
 type net = Butterfly | Wrapped | Ccc | Fabric of Fabric.spec
@@ -217,7 +219,7 @@ let memo : (G.t * string) Lru.t = Lru.create ~capacity:memo_entries
 let memo_lock = Mutex.create ()
 
 let graph_of net n =
-  let key = net_name net ^ "/" ^ string_of_int n in
+  let key = String.concat "/" [ net_name net; decimal n ] in
   match Mutex.protect memo_lock (fun () -> Lru.find memo key) with
   | Some hit -> Ok hit
   | None -> (
@@ -280,6 +282,14 @@ let memoizable ?deadline spec =
 let bw_rng seed = Random.State.make [| 0x5e4e; seed |]
 let expansion_rng seed = Random.State.make [| 0x5e4a; seed |]
 
+(* Answer lines are concatenated, not [Printf]-formatted: these run on
+   every served hit, and [%d]/[%s] render exactly as [Json.decimal] and
+   the string itself. *)
+let validated check line =
+  match check with
+  | Invariants.Fail m -> Error ("result failed validation: " ^ m)
+  | Invariants.Pass -> Ok (String.concat "" line)
+
 let run_bw_exact ?deadline { net; n; max_nodes; resume; _ } =
   match graph_of net n with
   | Error e -> Error e
@@ -301,11 +311,9 @@ let run_bw_exact ?deadline { net; n; max_nodes; resume; _ } =
         in
         let cancel = Option.map (fun budget -> Cancel.create ~budget ()) budget in
         match Bfly_cuts.Exact.bisection_width_supervised ?cancel ~resume g with
-        | Bfly_cuts.Exact.Complete (v, witness) -> (
-            match Invariants.bisection_cut g ~value:v ~witness with
-            | Invariants.Fail m ->
-                Error (Printf.sprintf "result failed validation: %s" m)
-            | Invariants.Pass -> Ok (Printf.sprintf "%s: BW = %d\n" name v))
+        | Bfly_cuts.Exact.Complete (v, witness) ->
+            validated (Invariants.bisection_cut g ~value:v ~witness)
+              [ name; ": BW = "; decimal v; "\n" ]
         | Bfly_cuts.Exact.Interval { lower; upper; witness; reason } -> (
             match Invariants.bisection_interval g ~lower ~upper ~witness with
             | Invariants.Fail m ->
@@ -326,41 +334,38 @@ let run_bw_heuristic { solver; net; n; seed; restarts; _ } =
       if restarts < 1 then Error "restarts must be >= 1"
       else
         let rng = bw_rng seed in
-        let value, witness, label =
+        let value, witness =
           match solver with
-          | Kl ->
-              let v, w = Bfly_cuts.Heuristics.kernighan_lin ~rng ~restarts g in
-              (v, w, Printf.sprintf "kl, restarts %d, seed %d" restarts seed)
-          | Fm ->
-              let v, w =
-                Bfly_cuts.Heuristics.fiduccia_mattheyses ~rng ~restarts g
-              in
-              (v, w, Printf.sprintf "fm, restarts %d, seed %d" restarts seed)
-          | Sa ->
-              let v, w = Bfly_cuts.Heuristics.annealing ~rng ~restarts g in
-              (v, w, Printf.sprintf "sa, restarts %d, seed %d" restarts seed)
-          | Spectral ->
-              let v, w = Bfly_cuts.Heuristics.spectral g in (v, w, "spectral")
-          | Ml ->
-              let v, w = Bfly_cuts.Multilevel.bisect ~rng ~restarts g in
-              (v, w, Printf.sprintf "ml, restarts %d, seed %d" restarts seed)
+          | Kl -> Bfly_cuts.Heuristics.kernighan_lin ~rng ~restarts g
+          | Fm -> Bfly_cuts.Heuristics.fiduccia_mattheyses ~rng ~restarts g
+          | Sa -> Bfly_cuts.Heuristics.annealing ~rng ~restarts g
+          | Spectral -> Bfly_cuts.Heuristics.spectral g
+          | Ml -> Bfly_cuts.Multilevel.bisect ~rng ~restarts g
           | Exact -> assert false
         in
-        (match Invariants.bisection_cut g ~value ~witness with
-        | Invariants.Fail m ->
-            Error (Printf.sprintf "result failed validation: %s" m)
-        | Invariants.Pass ->
-            Ok (Printf.sprintf "%s: BW <= %d (%s)\n" name value label))
+        let label =
+          match solver with
+          | Spectral -> [ "spectral)\n" ]
+          | _ ->
+              [ solver_name solver; ", restarts "; decimal restarts; ", seed ";
+                decimal seed; ")\n" ]
+        in
+        validated
+          (Invariants.bisection_cut g ~value ~witness)
+          (name :: ": BW <= " :: decimal value :: " (" :: label)
+
+let f_min_text = Printf.sprintf "%.5f" Bfly_mos.Mos_analysis.f_min
 
 let run_mos ~j =
   if j < 1 then Error "j must be >= 1"
   else
     let bw, density, ratio = Bfly_mos.Mos_analysis.convergence_row j in
+    let j = decimal j in
     Ok
-      (Printf.sprintf
-         "BW(MOS_{%d,%d}, M2) = %d; density %.5f; sqrt(2)-1 = %.5f; ratio \
-          %.4f\n"
-         j j bw density Bfly_mos.Mos_analysis.f_min ratio)
+      (String.concat ""
+         [ "BW(MOS_{"; j; ","; j; "}, M2) = "; decimal bw; "; density ";
+           Printf.sprintf "%.5f" density; "; sqrt(2)-1 = "; f_min_text;
+           "; ratio "; Printf.sprintf "%.4f" ratio; "\n" ])
 
 let run_expansion ~kind ~net ~n ~k ~exact ~seed =
   match graph_of net n with
@@ -368,29 +373,36 @@ let run_expansion ~kind ~net ~n ~k ~exact ~seed =
   | Ok (g, name) ->
       if k < 1 || k >= G.n_nodes g then Error "k out of range"
       else begin
-        let rel = if exact then "=" else "<=" in
+        let rel = if exact then " = " else " <= " in
+        (* each measure's witness is re-measured before its value is
+           printed, as every bw answer is *)
         let measure which =
-          if exact then
-            match which with
-            | `Ee -> fst (Bfly_expansion.Expansion.ee_exact g ~k)
-            | `Ne -> fst (Bfly_expansion.Expansion.ne_exact g ~k)
-          else
-            let rng = expansion_rng seed in
-            match which with
-            | `Ee -> fst (Bfly_expansion.Expansion.ee_anneal ~rng g ~k)
-            | `Ne -> fst (Bfly_expansion.Expansion.ne_anneal ~rng g ~k)
+          let module E = Bfly_expansion.Expansion in
+          let value, witness =
+            if exact then
+              match which with `Edge -> E.ee_exact g ~k | `Node -> E.ne_exact g ~k
+            else
+              let rng = expansion_rng seed in
+              match which with
+              | `Edge -> E.ee_anneal ~rng g ~k
+              | `Node -> E.ne_anneal ~rng g ~k
+          in
+          (Invariants.expansion_witness ~kind:which g ~k ~value ~witness, decimal value)
         in
+        let line = [ name; ", k="; decimal k; ": " ] in
         match kind with
         | `Ee ->
-            Ok (Printf.sprintf "%s, k=%d: EE %s %d\n" name k rel (measure `Ee))
+            let check, ee = measure `Edge in
+            validated check (line @ [ "EE"; rel; ee; "\n" ])
         | `Ne ->
-            Ok (Printf.sprintf "%s, k=%d: NE %s %d\n" name k rel (measure `Ne))
+            let check, ne = measure `Node in
+            validated check (line @ [ "NE"; rel; ne; "\n" ])
         | `Both ->
-            let ee = measure `Ee in
-            let ne = measure `Ne in
-            Ok
-              (Printf.sprintf "%s, k=%d: EE %s %d, NE %s %d\n" name k rel ee
-                 rel ne)
+            let ee_check, ee = measure `Edge in
+            let ne_check, ne = measure `Node in
+            validated
+              (Invariants.all [ ee_check; ne_check ])
+              (line @ [ "EE"; rel; ee; ", NE"; rel; ne; "\n" ])
       end
 
 let run_campaign ~degree ~sizes ~seeds =

@@ -20,6 +20,7 @@ let g_inflight = Metrics.gauge "serve.concurrency"
 let g_inflight_max = Metrics.gauge "serve.concurrency.max"
 let g_p50 = Metrics.gauge "serve.latency.p50_ns"
 let g_p99 = Metrics.gauge "serve.latency.p99_ns"
+let t_solve = Metrics.timer "serve.solve"
 let t_latency = Metrics.timer "serve.latency"
 
 type client = {
@@ -312,7 +313,7 @@ let take_batch t =
 
 let execute_batch t (batch : Batcher.batch) =
   let result =
-    Span.time ~name:"serve.solve" (fun () ->
+    Span.time t_solve (fun () ->
         try Job.run ?deadline:batch.Batcher.deadline batch.Batcher.spec
         with exn ->
           (* a solver bug must cost one response, not the server *)

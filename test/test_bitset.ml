@@ -103,6 +103,56 @@ let prop_union_commutes =
            (Bitset.diff a b)
            (Bitset.inter a (Bitset.complement b)))
 
+(* The multiply-shift reciprocal behind every element operation: equal to
+   [/] and [mod] by 63 on the whole proven domain [0, 2^30), sampled
+   uniformly plus the word boundaries and both ends. *)
+let prop_word_index =
+  qcheck ~count:2000 "word_index/bit_index = / and mod 63 on [0, 2^30)"
+    QCheck2.Gen.(
+      oneof
+        [
+          int_bound ((1 lsl 30) - 1);
+          map (fun k -> (63 * k) + 62) (int_bound 17043520);
+          map (fun d -> (1 lsl 30) - 1 - d) (int_bound 200);
+          int_bound 200;
+        ])
+    (fun i -> Bitset.word_index i = i / 63 && Bitset.bit_index i = i mod 63)
+
+(* [mem]/[add]/[remove]/[flip] against a bool array, at every capacity
+   from 0 to 190 (0 to 3 full words plus tails), over random op
+   sequences. *)
+let prop_ops_match_naive =
+  qcheck ~count:300 "mem/add/remove/flip match a naive model, capacity 0-190"
+    QCheck2.Gen.(
+      pair (int_bound 190) (list_size (int_bound 60) (pair (int_bound 3) nat)))
+    (fun (cap, ops) ->
+      let s = Bitset.create cap and model = Array.make cap false in
+      List.iter
+        (fun (op, x) ->
+          if cap > 0 then
+            let i = x mod cap in
+            match op with
+            | 0 -> Bitset.add s i; model.(i) <- true
+            | 1 -> Bitset.remove s i; model.(i) <- false
+            | 2 -> Bitset.flip s i; model.(i) <- not model.(i)
+            | _ -> Bitset.set s i (i land 1 = 0); model.(i) <- i land 1 = 0)
+        ops;
+      let members = List.filter (fun i -> model.(i)) (List.init cap Fun.id) in
+      List.for_all (fun i -> Bitset.mem s i = model.(i)) (List.init cap Fun.id)
+      && Bitset.elements s = members
+      && Bitset.cardinal s = List.length members)
+
+let test_capacity_bounds () =
+  let refused n =
+    match Bitset.create n with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  checkb "negative capacity refused" true (refused (-1));
+  checkb "capacity beyond 2^30 refused" true (refused (Bitset.max_capacity + 1));
+  check "max_capacity is 2^30" (1 lsl 30) Bitset.max_capacity;
+  check "capacity 0 accepted" 0 (Bitset.capacity (Bitset.create 0))
+
 let suite =
   [
     case "empty" test_empty;
@@ -117,4 +167,7 @@ let suite =
     case "iter/fold" test_iter_fold;
     prop_model;
     prop_union_commutes;
+    prop_word_index;
+    prop_ops_match_naive;
+    case "create refuses capacities beyond 2^30" test_capacity_bounds;
   ]

@@ -436,6 +436,127 @@ let test_fuzzer_agrees_cache_on_off () =
   checkb "cold = warm" true (String.equal cold warm);
   checkb "warm = off" true (String.equal warm off)
 
+(* ---- golden pins ----
+   Recorded before the allocation-free rewrite of Fingerprint and Key.
+   Every on-disk entry is named by these digests and compared against
+   these descriptions, so a change to any of them would orphan every
+   existing cache. *)
+
+let b8 () = Butterfly.graph (Butterfly.create ~log_n:3)
+
+let fabric spec =
+  match Bfly_networks.Fabric.spec_of_string spec with
+  | Ok s -> Bfly_networks.Fabric.(graph (create s))
+  | Error e -> Alcotest.fail e
+
+let test_fingerprint_pins () =
+  let pin what expected fp = Alcotest.(check string) what expected (Fp.to_hex fp) in
+  let g = b8 () in
+  pin "seed" "cbf29ce484222325" Fp.seed;
+  pin "graph B_8" "7899aa3722031508" (Fp.graph Fp.seed g);
+  pin "graph B_8, kept in the graph" "7899aa3722031508" (Fp.graph Fp.seed g);
+  pin "graph B_8, fresh build" "7899aa3722031508" (Fp.graph Fp.seed (b8 ()));
+  pin "graph W_8" "7a2056fe418ded08"
+    (Fp.graph Fp.seed Bfly_networks.Wrapped.(graph (create ~log_n:3)));
+  pin "graph CCC_8" "db930a1ff65bc078"
+    (Fp.graph Fp.seed Bfly_networks.Ccc.(graph (create ~log_n:3)));
+  pin "graph mesh:4x5" "ef98d749799284c8" (Fp.graph Fp.seed (fabric "mesh:4x5"));
+  pin "multigraph" "d7f26d0678fe8db8"
+    (Fp.graph Fp.seed
+       (G.of_edge_list ~n:4 [ (1, 0); (0, 1); (1, 2); (3, 2); (0, 3) ]));
+  pin "empty graph" "c3c5f925b1be8760" (Fp.graph Fp.seed (G.of_edge_list ~n:0 []));
+  pin "graph B_8 after int 1" "a74661de75193f60" (Fp.graph (Fp.int Fp.seed 1) g);
+  pin "int 42" "b960a184f07032c6" (Fp.int Fp.seed 42);
+  pin "int -1" "685d583ad34c0da4" (Fp.int Fp.seed (-1));
+  pin "int max_int" "685d183ad34ba0e4" (Fp.int Fp.seed max_int);
+  pin "string" "dffb0190d8e504bf" (Fp.string Fp.seed "butterfly");
+  pin "empty string" "0cd92cf54dc615e5" (Fp.string Fp.seed "");
+  pin "int_array" "1f50c58d54ac70a6" (Fp.int_array Fp.seed [| 1; -2; max_int; 0 |]);
+  pin "bitset" "9cd5759a917ad8a3"
+    (Fp.bitset Fp.seed (Bitset.of_list 130 [ 0; 62; 63; 129 ]));
+  pin "int_array after graph" "3e7de23e8f0d6c1c" (Fp.int_array (Fp.graph Fp.seed g) [| 7; 8 |])
+
+(* One key per cached solver: the key rebuilt from its parts has the
+   pinned digest, description and file name, and a cold run of the solver
+   writes exactly that file, carrying that description. *)
+let test_key_pins () =
+  let g = b8 () in
+  let fp = Fp.graph Fp.seed g in
+  let seeds () = Bfly_cuts.Heuristics.derive_seeds (Random.State.make [| 7 |]) 2 in
+  let rng () = Random.State.make [| 7 |] in
+  let seeded = Fp.int_array fp (seeds ()) in
+  let c = "&c=bfly-cache/2026-08-06.1#" in
+  let cases =
+    [
+      ( "expansion.ee_exact", "ee/1", [ ("k", "3") ], fp, "2ce63f93d394facc",
+        "?k=3&v=ee/1" ^ c ^ "7899aa3722031508",
+        fun () -> ignore (Bfly_expansion.Expansion.ee_exact g ~k:3) );
+      ( "expansion.ne_exact", "ne/1", [ ("k", "3") ], fp, "10d9187a0d9ae1e6",
+        "?k=3&v=ne/1" ^ c ^ "7899aa3722031508",
+        fun () -> ignore (Bfly_expansion.Expansion.ne_exact g ~k:3) );
+      ( "cuts.heuristics.kl", "kl/1", [ ("restarts", "2") ], seeded,
+        "0e7a635e0f70789a", "?restarts=2&v=kl/1" ^ c ^ "88340faccce875ae",
+        fun () ->
+          ignore (Bfly_cuts.Heuristics.kernighan_lin ~rng:(rng ()) ~restarts:2 g) );
+      ( "cuts.heuristics.fm", "fm/1", [ ("restarts", "2") ], seeded,
+        "c36c754d567bb4ca", "?restarts=2&v=fm/1" ^ c ^ "88340faccce875ae",
+        fun () ->
+          ignore
+            (Bfly_cuts.Heuristics.fiduccia_mattheyses ~rng:(rng ()) ~restarts:2 g) );
+      ( "cuts.heuristics.sa", "sa/1", [ ("restarts", "2"); ("steps", "12800") ],
+        seeded, "0d1b05cb92ce4da7",
+        "?restarts=2&steps=12800&v=sa/1" ^ c ^ "88340faccce875ae",
+        fun () ->
+          ignore (Bfly_cuts.Heuristics.annealing ~rng:(rng ()) ~restarts:2 g) );
+      ( "cuts.heuristics.spectral", "spectral/1", [], Fp.int_array fp [||],
+        "7ff98e1f5152ce12", "?&v=spectral/1" ^ c ^ "4a7626ca811121d1",
+        fun () -> ignore (Bfly_cuts.Heuristics.spectral g) );
+      ( "cuts.heuristics.ml", "ml/1",
+        [ ("restarts", "2"); ("matching_ratio", "0.9"); ("coarsening_threshold", "64") ],
+        seeded, "230ddbe40022e33e",
+        "?restarts=2&matching_ratio=0.9&coarsening_threshold=64&v=ml/1" ^ c
+        ^ "88340faccce875ae",
+        fun () ->
+          ignore (Bfly_cuts.Multilevel.bisect ~rng:(rng ()) ~restarts:2 g) );
+      ( "cuts.exact.bisection_width", "exact/1", [ ("u", "all") ],
+        Fp.string fp "all", "e84e5b985fbbb8f8",
+        "?u=all&v=exact/1" ^ c ^ "49c26eb9541d896c",
+        fun () -> ignore (Bfly_cuts.Exact.bisection_width g) );
+      ( "mos.bw_m2", "bw_m2/1", [ ("j", "4") ], Fp.int Fp.seed 4,
+        "621d44e8a6c5fad3", "?j=4&v=bw_m2/1" ^ c ^ "d6af10b864380b28",
+        fun () -> ignore (Bfly_mos.Mos_analysis.bw_m2 4) );
+      ( "cuts.constructions.best_mos_pullback", "mos-pullback/1",
+        [ ("max_classes", "256") ], Fp.int (Fp.string Fp.seed "butterfly") 3,
+        "8178447b15747b63",
+        "?max_classes=256&v=mos-pullback/1" ^ c ^ "492036abd2eaa3f9",
+        fun () ->
+          ignore
+            (Bfly_cuts.Constructions.best_mos_pullback (Butterfly.create ~log_n:3)) );
+    ]
+  in
+  List.iter
+    (fun (solver, salt, params, fingerprint, digest, rest, run) ->
+      let key = Key.make ~solver ~salt ~params ~fingerprint in
+      let filename = solver ^ "-" ^ digest ^ ".entry" in
+      Alcotest.(check string) (solver ^ ": digest") digest (Key.digest key);
+      Alcotest.(check string) (solver ^ ": description") (solver ^ rest)
+        (Key.description key);
+      Alcotest.(check string) (solver ^ ": filename") filename (Key.filename key);
+      with_fresh_cache @@ fun dir ->
+      run ();
+      let file = Filename.concat dir filename in
+      checkb (solver ^ ": cold run writes the pinned entry") true
+        (Sys.file_exists file);
+      let key_line =
+        List.nth
+          (String.split_on_char '\n'
+             (In_channel.with_open_bin file In_channel.input_all))
+          1
+      in
+      Alcotest.(check string) (solver ^ ": stored description")
+        ("key " ^ solver ^ rest) key_line)
+    cases
+
 let suite =
   [
     case "memoize: computes once, then serves" test_memoize_hit;
@@ -465,4 +586,6 @@ let suite =
       test_injected_disk_faults;
     slow_case "differential suite agrees cache on/warm/off"
       test_fuzzer_agrees_cache_on_off;
+    case "golden pins: fingerprints" test_fingerprint_pins;
+    case "golden pins: one key per cached solver" test_key_pins;
   ]

@@ -1238,6 +1238,101 @@ let test_stats_latency () =
        (ms p50) (ms p99))
     (Server.summary server)
 
+(* ---- the warm hit path ---- *)
+
+let bw_job ?(restarts = 1) solver n =
+  Job.Bw
+    { Job.solver; net = Job.Butterfly; n; seed = 7; restarts; max_nodes = None;
+      resume = false }
+
+let run_ok spec =
+  match Job.run spec with
+  | Ok out -> out
+  | Error e -> Alcotest.failf "%s: %s" (Job.fingerprint spec) e
+
+(* A verified warm hit costs its lookup plus its checks. Minor words per
+   warm Job.run, averaged over 200 calls after one cold run: the
+   implementation before these budgets allocated 1,599 (B_8) and 4,291
+   (B_32). *)
+let test_warm_hit_budget () =
+  with_fresh_cache @@ fun () ->
+  List.iter
+    (fun (n, budget) ->
+      let spec = bw_job Job.Ml n in
+      let cold = run_ok spec in
+      let calls = 200 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to calls do
+        ignore (Sys.opaque_identity (run_ok spec))
+      done;
+      let words = (Gc.minor_words () -. w0) /. float_of_int calls in
+      checkb
+        (Printf.sprintf "bw ml B_%d: %.0f minor words per warm hit <= %d" n words
+           budget)
+        true
+        (words <= float_of_int budget);
+      Alcotest.(check string) "warm output = cold output" cold (run_ok spec))
+    [ (8, 400); (32, 1_000) ]
+
+(* Every warm heuristic answer is one verified hit: one cache hit, one
+   kernel recount (verify-on-hit), no verify failure. A hit path that
+   skipped the recount would fail here. *)
+let test_warm_hit_verifies () =
+  with_fresh_cache @@ fun () ->
+  List.iter
+    (fun solver ->
+      let spec = bw_job ~restarts:2 solver 8 in
+      let cold = run_ok spec in
+      let before = List.map counter [ "cache.hit"; "cuts.kernel.recounts"; "cache.verify_fail" ] in
+      let warm = run_ok spec in
+      let after = List.map counter [ "cache.hit"; "cuts.kernel.recounts"; "cache.verify_fail" ] in
+      let what = Job.fingerprint spec in
+      Alcotest.(check string) (what ^ ": warm = cold") cold warm;
+      Alcotest.(check (list int)) (what ^ ": hit, recount, verify_fail deltas")
+        [ 1; 1; 0 ] (List.map2 ( - ) after before))
+    Job.[ Kl; Fm; Sa; Spectral; Ml ]
+
+(* Expansion answers are validated like bw answers: each witness has k
+   members and re-measures to the printed value. Outputs recorded before
+   validation was added; exact and annealed, cache off and warm. *)
+let test_expansion_answers_validated () =
+  let net s = match Job.net_of_string s with Ok n -> n | Error e -> Alcotest.fail e in
+  let expected =
+    [
+      ("butterfly", 8, `Ee, true, "B_8, k=4: EE = 4\n");
+      ("butterfly", 8, `Ee, false, "B_8, k=4: EE <= 4\n");
+      ("butterfly", 8, `Ne, true, "B_8, k=4: NE = 4\n");
+      ("butterfly", 8, `Ne, false, "B_8, k=4: NE <= 4\n");
+      ("butterfly", 8, `Both, true, "B_8, k=4: EE = 4, NE = 4\n");
+      ("butterfly", 8, `Both, false, "B_8, k=4: EE <= 4, NE <= 4\n");
+      ("mesh:3x3", 0, `Ee, true, "mesh:3x3, k=4: EE = 4\n");
+      ("mesh:3x3", 0, `Ee, false, "mesh:3x3, k=4: EE <= 4\n");
+      ("mesh:3x3", 0, `Ne, true, "mesh:3x3, k=4: NE = 3\n");
+      ("mesh:3x3", 0, `Ne, false, "mesh:3x3, k=4: NE <= 3\n");
+      ("mesh:3x3", 0, `Both, true, "mesh:3x3, k=4: EE = 4, NE = 3\n");
+      ("mesh:3x3", 0, `Both, false, "mesh:3x3, k=4: EE <= 4, NE <= 3\n");
+    ]
+  in
+  let check_all () =
+    List.iter
+      (fun (network, n, kind, exact, line) ->
+        let spec = Job.Expansion { kind; net = net network; n; k = 4; exact; seed = 5 } in
+        Alcotest.(check string) (Job.fingerprint spec) line (run_ok spec))
+      expected
+  in
+  let was = Config.enabled () in
+  Config.set_enabled false;
+  Fun.protect ~finally:(fun () -> Config.set_enabled was) check_all;
+  with_fresh_cache (fun () -> check_all (); check_all ());
+  (* the check itself: a witness that does not measure to the printed
+     value is refused *)
+  let g = Bfly_networks.Butterfly.(graph (create ~log_n:3)) in
+  let value, witness = Bfly_expansion.Expansion.ee_exact g ~k:4 in
+  checkb "a wrong value fails validation" false
+    (Bfly_check.Invariants.is_pass
+       (Bfly_check.Invariants.expansion_witness ~kind:`Edge g ~k:4
+          ~value:(value + 1) ~witness))
+
 let suite =
   [
     slow_case "replay: 120 requests coalesce, bytes match one-shot"
@@ -1288,4 +1383,10 @@ let suite =
       test_memo_after_verdicts;
     case "stats: latency quantiles, gauges and summary agree"
       test_stats_latency;
+    case "warm hit: minor-word budget for bw ml on B_8 and B_32"
+      test_warm_hit_budget;
+    case "warm hit: one hit, one recount, no verify failure"
+      test_warm_hit_verifies;
+    case "expansion answers are validated, outputs unchanged"
+      test_expansion_answers_validated;
   ]
