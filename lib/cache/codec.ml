@@ -143,7 +143,5 @@ let get_int p name =
 let get_bits p name ~capacity =
   match List.assoc_opt name p with
   | Some (Bits { capacity = c; elements }) when c = capacity ->
-      let s = Bitset.create capacity in
-      List.iter (Bitset.add s) elements;
-      Some s
+      Some (Bitset.of_list capacity elements)
   | _ -> None
