@@ -155,4 +155,7 @@ val run : ?deadline:Bfly_resil.Budget.t -> spec -> (string, string) result
     token (combined with [max_nodes]) for the exact search — which then
     degrades to a certified, validated interval instead of completing.
     Every witness-carrying result is re-validated through
-    {!Bfly_check.Invariants} before the text is produced. *)
+    {!Bfly_check.Invariants} before the text is produced: bisections with
+    [bisection_cut] or [bisection_interval], each [ee]/[ne] witness with
+    [expansion_witness] (k members, re-measured to the printed value). A
+    failure is [Error "result failed validation: ..."]. *)
