@@ -288,6 +288,33 @@ stage_serve() {
     exit 1
   }
 
+  # hostile input must not stall the select loop: one request line of
+  # 23,000 distinct keys (about 242 KB, under the transport's 262,144-byte
+  # line cap) that repeats its first key at the end, then a mos request.
+  # Both must be answered under a short timeout; screening the keys
+  # pairwise took about 5 s on this line.
+  wide="$scratch/serve-wide.ndjson"
+  awk 'BEGIN {
+    printf "{\"id\":\"wide\""
+    for (i = 0; i < 23000; i++) printf ",\"k%d\":0", i
+    print ",\"k0\":1}"
+  }' > "$wide"
+  echo '{"id":"after","job":"mos","j":8}' >> "$wide"
+  dune build bin/bfly_tool.exe 2> /dev/null
+  BFLY_CACHE_DIR="$scratch/serve-cache" timeout 3 dune exec -- \
+    bin/bfly_tool.exe serve < "$wide" > "$out" 2> /dev/null || {
+    echo "FAIL: serve did not answer a 23,000-key line and the next request within 3 s" >&2
+    exit 1
+  }
+  # an ambiguous line is rejected before its id is read, so the answer
+  # carries the server's default id for the first request, r1
+  grep -F '"id":"r1","ok":false,"error":"duplicate key \"k0\" in request object"' \
+    "$out" > /dev/null && grep -F '"id":"after","ok":true' "$out" > /dev/null || {
+    echo "FAIL: the 23,000-key line or the request after it was not answered" >&2
+    cat "$out" >&2
+    exit 1
+  }
+
   # admission control: 10 distinct jobs against a queue bound of 2 — the
   # transport reads the whole burst before solving, so exactly 8 must be
   # rejected with "overloaded"
@@ -363,7 +390,7 @@ stage_serve() {
     cat "$scratch/serve-tcp.log" >&2
     exit 1
   }
-  echo "serve: coalescing, byte-identity, CLI/serve parity, admission control and TCP drain OK"
+  echo "serve: coalescing, byte-identity, CLI/serve parity, wide-line screening, admission control and TCP drain OK"
 }
 
 # Deterministic load replay and the latency regression gate. Three parts:

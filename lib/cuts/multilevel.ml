@@ -7,9 +7,10 @@ module Span = Bfly_obs.Span
 module State = Cut.State
 module Cancel = Bfly_resil.Cancel
 
-type config = { matching_ratio : float; coarsening_threshold : int }
-
-let default_config = { matching_ratio = 0.9; coarsening_threshold = 64 }
+(* Coarsening stops at [coarsening_threshold] nodes, or when a matching
+   round would leave more than [matching_ratio · n] coarse nodes. *)
+let matching_ratio = 0.9
+let coarsening_threshold = 64
 
 let ml_levels = Metrics.counter "ml.levels"
 let ml_moves = Metrics.counter "ml.refine.moves"
@@ -357,14 +358,14 @@ end
 (* One descent from scratch (side = None) or guided by an incumbent cut
    (side = Some s: coarsening respects s, so the coarsest start is exactly
    s contracted — refinement can only improve on it). *)
-let descent ~config ~cancel ~rng ?side g =
+let descent ~cancel ~rng ?side g =
   let rec build acc g vwgt side =
-    if G.n_nodes g <= config.coarsening_threshold || Cancel.stop cancel then
+    if G.n_nodes g <= coarsening_threshold || Cancel.stop cancel then
       (acc, g, vwgt, side)
     else
       match
         Span.time t_coarsen @@ fun () ->
-        Coarsen.step ?side ~matching_ratio:config.matching_ratio ~rng ~vwgt g
+        Coarsen.step ?side ~matching_ratio ~rng ~vwgt g
       with
       | None -> (acc, g, vwgt, side)
       | Some { Coarsen.graph = cg; vwgt = cvw; map } ->
@@ -413,15 +414,15 @@ let descent ~config ~cancel ~rng ?side g =
    rounds move whole same-side clusters across the cut, which is what
    lifts the result out of the column-cut local optimum the flat kernels
    get stuck in. *)
-let vcycle ~config ~cancel ~seed g =
+let vcycle ~cancel ~seed g =
   let rng = Random.State.make [| 0x6d6c; seed |] in
-  let side = ref (descent ~config ~cancel ~rng g) in
+  let side = ref (descent ~cancel ~rng g) in
   let cap = ref (Bfly_graph.Traverse.boundary_edges g !side) in
   let improving = ref true in
   let rounds = ref 0 in
   while !improving && !rounds < 4 && not (Cancel.stop cancel) do
     incr rounds;
-    let side' = descent ~config ~cancel ~rng ~side:!side g in
+    let side' = descent ~cancel ~rng ~side:!side g in
     let cap' = Bfly_graph.Traverse.boundary_edges g side' in
     if cap' < !cap then begin
       cap := cap';
@@ -438,27 +439,22 @@ let vcycle ~config ~cancel ~seed g =
 
 let default_rng () = Random.State.make [| 0x5eed |]
 
-(* The key's config params, rendered once for the default config:
-   [string_of_float] alone costs more than the rest of a cached call's
-   key. *)
-let config_params c =
+(* The key's coarsening parameters, rendered once: [string_of_float]
+   alone costs more than the rest of a cached call's key. *)
+let coarsening_params =
   [
-    ("matching_ratio", string_of_float c.matching_ratio);
-    ("coarsening_threshold", Bfly_obs.Json.decimal c.coarsening_threshold);
+    ("matching_ratio", string_of_float matching_ratio);
+    ("coarsening_threshold", Bfly_obs.Json.decimal coarsening_threshold);
   ]
 
-let default_params = config_params default_config
-
-let bisect ?rng ?(restarts = 4) ?(config = default_config) ?cancel g =
+let bisect ?rng ?(restarts = 4) ?cancel g =
   let rng = match rng with Some r -> r | None -> default_rng () in
   let cancel = Cancel.resolve cancel in
   Span.time t_ml @@ fun () ->
   let seeds = Heuristics.derive_seeds rng restarts in
   Heuristics.cached_kernel ~solver:"cuts.heuristics.ml" ~salt:"ml/1"
-    ~params:
-      (("restarts", Bfly_obs.Json.decimal restarts)
-      :: (if config = default_config then default_params else config_params config))
+    ~params:(("restarts", Bfly_obs.Json.decimal restarts) :: coarsening_params)
     ~seeds ~cancel g
   @@ fun () ->
   Heuristics.best_restart ~kernel:"ml" ~restarts (fun i ->
-      vcycle ~config ~cancel ~seed:seeds.(i) g)
+      vcycle ~cancel ~seed:seeds.(i) g)

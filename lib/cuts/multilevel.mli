@@ -22,9 +22,8 @@
     of original nodes inside it, so weighted balance at any level is
     exactly the balance of the projected cut.
 
-    Coarsening stops at [coarsening_threshold] nodes, or when a round
-    leaves more than [matching_ratio · n] coarse nodes (the matching
-    stalled). The coarsest graph is bisected from a seeded greedy start,
+    Coarsening stops at 64 nodes, or when a round leaves more than
+    [0.9 · n] coarse nodes (the matching stalled). The coarsest graph is bisected from a seeded greedy start,
     then each level is {e refined}: the side is first rebalanced to the
     level's tolerance (the maximum vertex weight — a single move cannot
     do better), then Fiduccia–Mattheyses passes run on two {!Gain} bucket
@@ -54,23 +53,13 @@
     kernel pair [heuristics.ml.restarts] / [heuristics.ml.best_capacity],
     all advancing only on actual compute; timer span [heuristics.ml]. *)
 
-type config = {
-  matching_ratio : float;
-      (** Stop coarsening when a matching round leaves more than
-          [matching_ratio · n] coarse nodes. In [(0, 1]]; default [0.9]. *)
-  coarsening_threshold : int;
-      (** Stop coarsening at or below this many nodes; the coarsest graph
-          is partitioned directly. Default [64]. *)
-}
-
 val bisect :
   ?rng:Random.State.t ->
   ?restarts:int ->
-  ?config:config ->
   ?cancel:Bfly_resil.Cancel.t ->
   Bfly_graph.Graph.t ->
   int * Bfly_graph.Bitset.t
-(** [bisect ?rng ?restarts ?config ?cancel g] — the best balanced cut over
+(** [bisect ?rng ?restarts ?cancel g] — the best balanced cut over
     [restarts] (default 4) independent V-cycles run concurrently on the
     domain pool. Returns the capacity and the witness side (sizes within
     one of [N/2]). Near-linear per restart: O(levels · (N + M)). *)
@@ -101,7 +90,8 @@ module Coarsen : sig
     Bfly_graph.Graph.t ->
     level option
   (** One heavy-edge-matching contraction, or [None] when the graph is
-      already tiny or the matching stalled (see {!config}). With [?side],
+      already tiny or the matching stalled (more than [matching_ratio · n]
+      coarse nodes would remain). With [?side],
       only same-side pairs are matched, so the side survives contraction
       with its exact cut capacity — the guided rounds of {!bisect} iterate
       on this to lift an incumbent cut out of local optima. *)

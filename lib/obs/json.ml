@@ -7,24 +7,52 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-(* The JSON string-literal body for [s], without the quotes: quotes,
-   backslashes and control characters are escaped; everything else passes
-   through byte-for-byte (valid UTF-8 in, valid UTF-8 out). *)
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
+(* The serialization of [Str s]: quotes, backslashes and control
+   characters are escaped; everything else passes through byte-for-byte
+   (valid UTF-8 in, valid UTF-8 out). [quoted_length] sizes it and
+   [blit_quoted] writes it, so a caller can render a line into one string
+   of its exact length. *)
+let quoted_length s =
+  let len = ref 2 in
+  for i = 0 to String.length s - 1 do
+    len :=
+      !len
+      +
+      match String.unsafe_get s i with
+      | '"' | '\\' | '\n' | '\r' | '\t' -> 2
+      | c when Char.code c < 0x20 -> 6
+      | _ -> 1
+  done;
+  !len
+
+let hex_digits = "0123456789abcdef"
+
+let put2 b o c1 c2 =
+  Bytes.unsafe_set b o c1;
+  Bytes.unsafe_set b (o + 1) c2;
+  o + 2
+
+let blit_quoted s b off =
+  Bytes.set b off '"';
+  let o = ref (off + 1) in
+  for i = 0 to String.length s - 1 do
+    o :=
+      match String.unsafe_get s i with
+      | '"' -> put2 b !o '\\' '"'
+      | '\\' -> put2 b !o '\\' '\\'
+      | '\n' -> put2 b !o '\\' 'n'
+      | '\r' -> put2 b !o '\\' 'r'
+      | '\t' -> put2 b !o '\\' 't'
       | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+          (* \u00XX, lower-case hex *)
+          let o = put2 b (put2 b !o '\\' 'u') '0' '0' in
+          put2 b o hex_digits.[Char.code c lsr 4] hex_digits.[Char.code c land 15]
+      | c ->
+          Bytes.unsafe_set b !o c;
+          !o + 1
+  done;
+  Bytes.set b !o '"';
+  !o + 1
 
 (* [string_of_int] goes through the C formatter, which parses "%d" and
    calls snprintf each time; a digit loop writes the same bytes several
@@ -47,10 +75,24 @@ let decimal n =
     Bytes.unsafe_to_string b
   end
 
+(* A string is copied only when it needs escaping. *)
+let add_quoted buf s =
+  let l = quoted_length s in
+  if l = String.length s + 2 then begin
+    Buffer.add_char buf '"';
+    Buffer.add_string buf s;
+    Buffer.add_char buf '"'
+  end
+  else begin
+    let b = Bytes.create l in
+    ignore (blit_quoted s b 0);
+    Buffer.add_bytes buf b
+  end
+
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> Buffer.add_string buf (decimal i)
   | Float f ->
       if Float.is_finite f then
         (* %.17g is lossless for doubles; trim the common integral case *)
@@ -61,29 +103,36 @@ let rec to_buffer buf = function
         in
         Buffer.add_string buf s
       else Buffer.add_string buf "null"
-  | Str s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
-      Buffer.add_char buf '"'
+  | Str s -> add_quoted buf s
   | List items ->
       Buffer.add_char buf '[';
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char buf ',';
-          to_buffer buf v)
-        items;
+      add_items buf items;
       Buffer.add_char buf ']'
   | Obj fields ->
       Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
-          Buffer.add_string buf "\":";
-          to_buffer buf v)
-        fields;
+      add_fields buf fields;
       Buffer.add_char buf '}'
+
+and add_items buf = function
+  | [] -> ()
+  | [ v ] -> to_buffer buf v
+  | v :: rest ->
+      to_buffer buf v;
+      Buffer.add_char buf ',';
+      add_items buf rest
+
+and add_fields buf = function
+  | [] -> ()
+  | [ f ] -> add_field buf f
+  | f :: rest ->
+      add_field buf f;
+      Buffer.add_char buf ',';
+      add_fields buf rest
+
+and add_field buf (k, v) =
+  add_quoted buf k;
+  Buffer.add_char buf ':';
+  to_buffer buf v
 
 let to_string v =
   let buf = Buffer.create 256 in
@@ -96,215 +145,265 @@ exception Parse_error of string
 
 let max_depth = 512
 
-let of_string s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let error fmt =
-    Printf.ksprintf (fun m -> raise (Parse_error m)) fmt
-  in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> error "expected '%c' at byte %d, found '%c'" c !pos c'
-    | None -> error "expected '%c' at byte %d, found end of input" c !pos
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else error "invalid literal at byte %d" !pos
-  in
-  (* add one Unicode scalar value to [buf] as UTF-8 *)
-  let add_utf8 buf u =
-    if u < 0x80 then Buffer.add_char buf (Char.chr u)
-    else if u < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xc0 lor (u lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3f)))
-    end
-    else if u < 0x10000 then begin
-      Buffer.add_char buf (Char.chr (0xe0 lor (u lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((u lsr 6) land 0x3f)));
-      Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3f)))
-    end
-    else begin
-      Buffer.add_char buf (Char.chr (0xf0 lor (u lsr 18)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((u lsr 12) land 0x3f)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((u lsr 6) land 0x3f)));
-      Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3f)))
-    end
-  in
-  let hex4 () =
-    if !pos + 4 > n then error "truncated \\u escape at byte %d" !pos;
-    let v = ref 0 in
-    for _ = 1 to 4 do
-      let d =
-        match s.[!pos] with
-        | '0' .. '9' as c -> Char.code c - Char.code '0'
-        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
-        | c -> error "bad hex digit '%c' at byte %d" c !pos
-      in
-      v := (!v * 16) + d;
-      advance ()
-    done;
-    !v
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then error "unterminated string at byte %d" n;
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (if !pos >= n then error "unterminated escape at byte %d" n;
-           match s.[!pos] with
-           | '"' -> Buffer.add_char buf '"'; advance ()
-           | '\\' -> Buffer.add_char buf '\\'; advance ()
-           | '/' -> Buffer.add_char buf '/'; advance ()
-           | 'b' -> Buffer.add_char buf '\b'; advance ()
-           | 'f' -> Buffer.add_char buf '\012'; advance ()
-           | 'n' -> Buffer.add_char buf '\n'; advance ()
-           | 'r' -> Buffer.add_char buf '\r'; advance ()
-           | 't' -> Buffer.add_char buf '\t'; advance ()
-           | 'u' ->
-               advance ();
-               let u = hex4 () in
-               (* high surrogate must pair with a following \uDC00-\uDFFF *)
-               if u >= 0xd800 && u <= 0xdbff then begin
-                 if
-                   !pos + 1 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
-                 then begin
-                   pos := !pos + 2;
-                   let lo = hex4 () in
-                   if lo < 0xdc00 || lo > 0xdfff then
-                     error "unpaired surrogate at byte %d" !pos;
-                   add_utf8 buf
-                     (0x10000 + ((u - 0xd800) lsl 10) + (lo - 0xdc00))
-                 end
-                 else error "unpaired surrogate at byte %d" !pos
-               end
-               else if u >= 0xdc00 && u <= 0xdfff then
-                 error "unpaired surrogate at byte %d" !pos
-               else add_utf8 buf u
-           | c -> error "bad escape '\\%c' at byte %d" c !pos);
-          go ()
-      | c when Char.code c < 0x20 ->
-          error "unescaped control character at byte %d" !pos
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
+(* The parser's whole state, one record per document: reading a byte
+   allocates nothing, and every function below is closed, so a parse
+   allocates the tree and nothing else. *)
+type parser = { s : string; n : int; mutable pos : int }
+
+let error fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt
+
+(* the next byte is [c] *)
+let at p c = p.pos < p.n && String.unsafe_get p.s p.pos = c
+let advance p = p.pos <- p.pos + 1
+
+let skip_ws p =
+  while
+    p.pos < p.n
+    && match String.unsafe_get p.s p.pos with
+       | ' ' | '\t' | '\n' | '\r' -> true
+       | _ -> false
+  do
+    advance p
+  done
+
+let expect p c =
+  if p.pos >= p.n then
+    error "expected '%c' at byte %d, found end of input" c p.pos
+  else
+    let c' = String.unsafe_get p.s p.pos in
+    if c' = c then advance p
+    else error "expected '%c' at byte %d, found '%c'" c p.pos c'
+
+let literal p word v =
+  let l = String.length word in
+  let i = ref 0 in
+  while !i < l && p.pos + !i < p.n && p.s.[p.pos + !i] = word.[!i] do
+    incr i
+  done;
+  if !i = l then begin
+    p.pos <- p.pos + l;
+    v
+  end
+  else error "invalid literal at byte %d" p.pos
+
+(* add one Unicode scalar value to [buf] as UTF-8 *)
+let add_utf8 buf u =
+  if u < 0x80 then Buffer.add_char buf (Char.chr u)
+  else if u < 0x800 then begin
+    Buffer.add_char buf (Char.chr (0xc0 lor (u lsr 6)));
+    Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3f)))
+  end
+  else if u < 0x10000 then begin
+    Buffer.add_char buf (Char.chr (0xe0 lor (u lsr 12)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((u lsr 6) land 0x3f)));
+    Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3f)))
+  end
+  else begin
+    Buffer.add_char buf (Char.chr (0xf0 lor (u lsr 18)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((u lsr 12) land 0x3f)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((u lsr 6) land 0x3f)));
+    Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3f)))
+  end
+
+let hex4 p =
+  if p.pos + 4 > p.n then error "truncated \\u escape at byte %d" p.pos;
+  let v = ref 0 in
+  for _ = 1 to 4 do
+    let d =
+      match p.s.[p.pos] with
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | c -> error "bad hex digit '%c' at byte %d" c p.pos
     in
-    go ();
+    v := (!v * 16) + d;
+    advance p
+  done;
+  !v
+
+(* The decoder for strings with escapes: reads from [p.pos] up to and
+   including the closing quote, appending the decoded bytes to [buf]. *)
+let rec decode p buf =
+  if p.pos >= p.n then error "unterminated string at byte %d" p.n;
+  match p.s.[p.pos] with
+  | '"' -> advance p
+  | '\\' ->
+      advance p;
+      (if p.pos >= p.n then error "unterminated escape at byte %d" p.n;
+       match p.s.[p.pos] with
+       | '"' -> Buffer.add_char buf '"'; advance p
+       | '\\' -> Buffer.add_char buf '\\'; advance p
+       | '/' -> Buffer.add_char buf '/'; advance p
+       | 'b' -> Buffer.add_char buf '\b'; advance p
+       | 'f' -> Buffer.add_char buf '\012'; advance p
+       | 'n' -> Buffer.add_char buf '\n'; advance p
+       | 'r' -> Buffer.add_char buf '\r'; advance p
+       | 't' -> Buffer.add_char buf '\t'; advance p
+       | 'u' ->
+           advance p;
+           let u = hex4 p in
+           (* high surrogate must pair with a following \uDC00-\uDFFF *)
+           if u >= 0xd800 && u <= 0xdbff then begin
+             if p.pos + 1 < p.n && p.s.[p.pos] = '\\' && p.s.[p.pos + 1] = 'u'
+             then begin
+               p.pos <- p.pos + 2;
+               let lo = hex4 p in
+               if lo < 0xdc00 || lo > 0xdfff then
+                 error "unpaired surrogate at byte %d" p.pos;
+               add_utf8 buf (0x10000 + ((u - 0xd800) lsl 10) + (lo - 0xdc00))
+             end
+             else error "unpaired surrogate at byte %d" p.pos
+           end
+           else if u >= 0xdc00 && u <= 0xdfff then
+             error "unpaired surrogate at byte %d" p.pos
+           else add_utf8 buf u
+       | c -> error "bad escape '\\%c' at byte %d" c p.pos);
+      decode p buf
+  | c when Char.code c < 0x20 ->
+      error "unescaped control character at byte %d" p.pos
+  | c ->
+      Buffer.add_char buf c;
+      advance p;
+      decode p buf
+
+(* A plain string (no escape before its closing quote) is one [String.sub];
+   anything else goes on through [decode], which also reports a control
+   byte or the end of input at the byte it stops on. *)
+let parse_string p =
+  expect p '"';
+  let start = p.pos in
+  let i = ref start in
+  while
+    !i < p.n
+    &&
+    let c = String.unsafe_get p.s !i in
+    c <> '"' && c <> '\\' && Char.code c >= 0x20
+  do
+    incr i
+  done;
+  if !i < p.n && String.unsafe_get p.s !i = '"' then begin
+    p.pos <- !i + 1;
+    String.sub p.s start (!i - start)
+  end
+  else begin
+    let buf = Buffer.create (16 + !i - start) in
+    Buffer.add_substring buf p.s start (!i - start);
+    p.pos <- !i;
+    decode p buf;
     Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    if peek () = Some '-' then advance ();
-    let digits () =
-      let d0 = !pos in
-      while !pos < n && (match s.[!pos] with '0' .. '9' -> true | _ -> false) do
-        advance ()
-      done;
-      if !pos = d0 then error "expected digit at byte %d" !pos
-    in
-    digits ();
-    let is_float = ref false in
-    if peek () = Some '.' then begin
-      is_float := true;
-      advance ();
-      digits ()
-    end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-        is_float := true;
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        digits ()
-    | _ -> ());
-    let text = String.sub s start (!pos - start) in
+  end
+
+let digits p =
+  let d0 = p.pos in
+  while p.pos < p.n && match p.s.[p.pos] with '0' .. '9' -> true | _ -> false do
+    advance p
+  done;
+  if p.pos = d0 then error "expected digit at byte %d" p.pos
+
+(* An integer of at most 18 digits cannot overflow and is read in place;
+   longer ones, and every fraction or exponent, go through the standard
+   conversions of their text. *)
+let parse_number p =
+  let start = p.pos in
+  if at p '-' then advance p;
+  digits p;
+  let is_float = ref false in
+  if at p '.' then begin
+    is_float := true;
+    advance p;
+    digits p
+  end;
+  if at p 'e' || at p 'E' then begin
+    is_float := true;
+    advance p;
+    if at p '+' || at p '-' then advance p;
+    digits p
+  end;
+  let neg = p.s.[start] = '-' in
+  let d0 = if neg then start + 1 else start in
+  if (not !is_float) && p.pos - d0 <= 18 then begin
+    let v = ref 0 in
+    for i = d0 to p.pos - 1 do
+      v := (10 * !v) + Char.code (String.unsafe_get p.s i) - 48
+    done;
+    Int (if neg then - !v else !v)
+  end
+  else
+    let text = String.sub p.s start (p.pos - start) in
     if !is_float then Float (float_of_string text)
     else
       match int_of_string_opt text with
       | Some i -> Int i
       | None -> Float (float_of_string text)
-  in
-  let rec parse_value depth =
-    if depth > max_depth then error "nesting deeper than %d at byte %d" max_depth !pos;
-    skip_ws ();
-    match peek () with
-    | None -> error "expected a value at byte %d, found end of input" !pos
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let fields = ref [] in
-          let rec fields_loop () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value (depth + 1) in
-            fields := (k, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); fields_loop ()
-            | Some '}' -> advance ()
-            | _ -> error "expected ',' or '}' at byte %d" !pos
-          in
-          fields_loop ();
-          Obj (List.rev !fields)
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else begin
-          let items = ref [] in
-          let rec items_loop () =
-            let v = parse_value (depth + 1) in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); items_loop ()
-            | Some ']' -> advance ()
-            | _ -> error "expected ',' or ']' at byte %d" !pos
-          in
-          items_loop ();
-          List (List.rev !items)
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> error "unexpected character '%c' at byte %d" c !pos
-  in
+
+let rec parse_value p depth =
+  if depth > max_depth then
+    error "nesting deeper than %d at byte %d" max_depth p.pos;
+  skip_ws p;
+  if p.pos >= p.n then
+    error "expected a value at byte %d, found end of input" p.pos;
+  match String.unsafe_get p.s p.pos with
+  | '{' ->
+      advance p;
+      skip_ws p;
+      if at p '}' then begin
+        advance p;
+        Obj []
+      end
+      else Obj (parse_fields p depth)
+  | '[' ->
+      advance p;
+      skip_ws p;
+      if at p ']' then begin
+        advance p;
+        List []
+      end
+      else List (parse_items p depth)
+  | '"' -> Str (parse_string p)
+  | 't' -> literal p "true" (Bool true)
+  | 'f' -> literal p "false" (Bool false)
+  | 'n' -> literal p "null" Null
+  | '-' | '0' .. '9' -> parse_number p
+  | c -> error "unexpected character '%c' at byte %d" c p.pos
+
+(* Lists are built in order ([tail_mod_cons]), so a long one needs neither
+   a reversal nor a stack frame per element. *)
+and[@tail_mod_cons] parse_fields p depth =
+  skip_ws p;
+  let k = parse_string p in
+  skip_ws p;
+  expect p ':';
+  let v = parse_value p (depth + 1) in
+  skip_ws p;
+  if at p ',' then begin
+    advance p;
+    (k, v) :: parse_fields p depth
+  end
+  else begin
+    if not (at p '}') then error "expected ',' or '}' at byte %d" p.pos;
+    advance p;
+    [ (k, v) ]
+  end
+
+and[@tail_mod_cons] parse_items p depth =
+  let v = parse_value p (depth + 1) in
+  skip_ws p;
+  if at p ',' then begin
+    advance p;
+    v :: parse_items p depth
+  end
+  else begin
+    if not (at p ']') then error "expected ',' or ']' at byte %d" p.pos;
+    advance p;
+    [ v ]
+  end
+
+let of_string s =
+  let p = { s; n = String.length s; pos = 0 } in
   match
-    let v = parse_value 0 in
-    skip_ws ();
-    if !pos <> n then error "trailing garbage at byte %d" !pos;
+    let v = parse_value p 0 in
+    skip_ws p;
+    if p.pos <> p.n then error "trailing garbage at byte %d" p.pos;
     v
   with
   | v -> Ok v
@@ -312,9 +411,11 @@ let of_string s =
 
 (* ---- accessors ---- *)
 
-let member k = function
-  | Obj fields -> List.assoc_opt k fields
-  | _ -> None
+let rec assoc k = function
+  | [] -> None
+  | (k', v) :: rest -> if String.equal k k' then Some v else assoc k rest
+
+let member k = function Obj fields -> assoc k fields | _ -> None
 
 let to_int_opt = function
   | Int i -> Some i
@@ -326,20 +427,58 @@ let to_string_opt = function Str s -> Some s | _ -> None
 let to_bool_opt = function Bool b -> Some b | _ -> None
 let to_list_opt = function List l -> Some l | _ -> None
 
-let rec duplicate_key t =
-  let first f xs =
-    List.fold_left
-      (fun acc x -> match acc with Some _ -> acc | None -> f x)
-      None xs
-  in
-  match t with
-  | Obj fields ->
-      let rec dup seen = function
-        | [] -> None
-        | (k, _) :: rest -> if List.mem k seen then Some k else dup (k :: seen) rest
+(* Up to [pairwise_keys] keys, each key is compared with the ones before
+   it; above, a sorted copy of (key, position) pairs puts every repeat
+   next to its earlier occurrences, and the smallest position with an
+   equal neighbour before it is the first second occurrence. *)
+let pairwise_keys = 16
+
+let rec occurs_before k fields stop =
+  fields != stop
+  &&
+  match fields with
+  | (k', _) :: rest -> String.equal k k' || occurs_before k rest stop
+  | [] -> false
+
+let rec first_repeat fields = function
+  | [] -> None
+  | ((k, _) :: rest) as l ->
+      if occurs_before k fields l then Some k else first_repeat fields rest
+
+let first_repeat_sorted fields =
+  let keys = Array.of_list (List.mapi (fun i (k, _) -> (k, i)) fields) in
+  Array.stable_sort
+    (fun (a, i) (b, j) ->
+      let c = String.compare a b in
+      if c <> 0 then c else Int.compare i j)
+    keys;
+  let best = ref (-1) in
+  for x = 1 to Array.length keys - 1 do
+    let k, i = keys.(x) in
+    if
+      String.equal k (fst keys.(x - 1))
+      && (!best < 0 || i < snd keys.(!best))
+    then best := x
+  done;
+  if !best < 0 then None else Some (fst keys.(!best))
+
+let rec duplicate_key = function
+  | Obj fields -> (
+      let own =
+        if List.compare_length_with fields pairwise_keys <= 0 then
+          first_repeat fields fields
+        else first_repeat_sorted fields
       in
-      (match dup [] fields with
-      | Some k -> Some k
-      | None -> first (fun (_, v) -> duplicate_key v) fields)
-  | List xs -> first duplicate_key xs
+      match own with Some _ -> own | None -> first_in_fields fields)
+  | List xs -> first_in_items xs
   | _ -> None
+
+and first_in_fields = function
+  | [] -> None
+  | (_, v) :: rest -> (
+      match duplicate_key v with None -> first_in_fields rest | d -> d)
+
+and first_in_items = function
+  | [] -> None
+  | v :: rest -> (
+      match duplicate_key v with None -> first_in_items rest | d -> d)

@@ -30,11 +30,21 @@ val to_buffer : Buffer.t -> t -> unit
 val decimal : int -> string
 (** [decimal n] is [string_of_int n] — the digits an [Int n] prints as —
     written by an OCaml digit loop rather than the C formatter, which
-    parses its format on every call. Answer lines and cache-key
-    parameters render their integers with it. *)
+    parses its format on every call. The printer, answer lines and
+    cache-key parameters render their integers with it. *)
 
 val to_string : t -> string
 (** [to_string v] is the compact (single-line) serialization of [v]. *)
+
+val quoted_length : string -> int
+(** [quoted_length s] is the length of [to_string (Str s)]: [s] between
+    quotes, with quotes, backslashes and control characters escaped. *)
+
+val blit_quoted : string -> Bytes.t -> int -> int
+(** [blit_quoted s b off] writes the bytes of [to_string (Str s)] into [b]
+    at [off] and returns the offset just past them. With
+    {!quoted_length}, a response line is rendered into one string of its
+    exact length. *)
 
 val of_string : string -> (t, string) result
 (** [of_string s] parses one JSON value (surrounding whitespace allowed;
@@ -44,7 +54,9 @@ val of_string : string -> (t, string) result
     and reject). [\uXXXX] escapes
     decode to UTF-8, surrogate pairs included. Errors carry a byte offset,
     e.g. ["trailing garbage at byte 12"]. Nesting is capped (512 levels) so
-    hostile request lines cannot overflow the stack. *)
+    hostile request lines cannot overflow the stack. A parse allocates the
+    returned tree and nothing else, except for strings with escapes and
+    numbers that are fractional or longer than 18 digits. *)
 
 (** {1 Accessors}
 
@@ -60,9 +72,16 @@ val member : string -> t -> t option
 
 val duplicate_key : t -> string option
 (** [duplicate_key v] is the first object key that occurs more than once
-    in the same object anywhere inside [v] (depth-first), or [None] when
-    every object has distinct keys. Used to {e reject} ambiguous request
-    documents instead of resolving them first-key-wins. *)
+    in the same object anywhere inside [v], or [None] when every object
+    has distinct keys. "First" is depth-first, an object's own keys before
+    its children's, and within one object the key whose second
+    occurrence comes first. Used to {e reject} ambiguous request
+    documents instead of resolving them first-key-wins.
+
+    Cost: an object of [k] keys takes O(k log k) key comparisons in the
+    worst case (pairwise up to 16 keys, a sort of the keys above), so a
+    request line of [n] bytes is screened in O(n log n) byte
+    comparisons. *)
 
 val to_int_opt : t -> int option
 (** [Int n] (and integral [Float]) as [Some n]. *)

@@ -86,97 +86,128 @@ let solver_of_string = function
 
 (* The one reader of job fields, for served requests and the CLI alike:
    every default, alias, required-field and type-error message lives here.
-   A served request costs one [field] lookup per field its job defines. *)
+   A served request costs one [field] lookup per field its job defines.
+   Fields are read in direct style: the first bad field raises [Bad] with
+   the message the request answers with, and [of_fields] turns it into an
+   [Error]; a field that is present and well typed allocates nothing
+   beyond its lookup. *)
 
-let ( let* ) = Result.bind
+exception Bad of string
 
-let an_int = ("an integer", Json.to_int_opt)
-let a_bool = ("a boolean", Json.to_bool_opt)
-let a_string = ("a string", Json.to_string_opt)
+let mistyped k what = raise (Bad (Printf.sprintf "field %S must be %s" k what))
+let missing k = raise (Bad (Printf.sprintf "field %S is required" k))
 
-let int_list =
-  ( "a list of integers",
-    fun v ->
-      Option.bind (Json.to_list_opt v) (fun l ->
-          let ints = List.filter_map Json.to_int_opt l in
-          if List.compare_lengths ints l = 0 then Some ints else None) )
+let int_value k = function
+  | Json.Int i -> i
+  | v -> (
+      match Json.to_int_opt v with Some i -> i | None -> mistyped k "an integer")
 
-(* [None] when absent; present with the wrong type is an error *)
-let get field k (what, conv) =
+let int_field field k ~default =
+  match field k with None -> default | Some v -> int_value k v
+
+let required_int field k =
+  match field k with None -> missing k | Some v -> int_value k v
+
+let bool_field field k ~default =
   match field k with
-  | None -> Ok None
-  | Some v -> (
-      match conv v with
-      | Some x -> Ok (Some x)
-      | None -> Error (Printf.sprintf "field %S must be %s" k what))
+  | None -> default
+  | Some (Json.Bool b) -> b
+  | Some _ -> mistyped k "a boolean"
 
-let default d = Result.map (Option.value ~default:d)
+let string_value k = function Json.Str s -> s | _ -> mistyped k "a string"
 
-let required field k ty =
-  let* v = get field k ty in
-  Option.to_result v ~none:(Printf.sprintf "field %S is required" k)
+let ok_or_bad = function Ok v -> v | Error m -> raise (Bad m)
 
-let instance field =
-  let* net = Result.bind (required field "network" a_string) net_of_string in
+let instance_of field =
+  let net =
+    match field "network" with
+    | None -> missing "network"
+    | Some v -> ok_or_bad (net_of_string (string_value "network" v))
+  in
   if is_fabric net then
     match field "n" with
-    | None -> Ok (net, 0)
+    | None -> (net, 0)
     | Some _ ->
-        Error
-          "field \"n\" must be omitted for fabric networks (the spec fixes \
-           the size)"
-  else Result.map (fun n -> (net, n)) (required field "n" an_int)
+        raise
+          (Bad
+             "field \"n\" must be omitted for fabric networks (the spec \
+              fixes the size)")
+  else (net, required_int field "n")
+
+let instance field =
+  match instance_of field with i -> Ok i | exception Bad m -> Error m
 
 let bw_of_fields field =
-  let* solver =
-    Result.bind (default "exact" (get field "solver" a_string)) solver_of_string
+  let solver =
+    match field "solver" with
+    | None -> Exact
+    | Some v -> ok_or_bad (solver_of_string (string_value "solver" v))
   in
-  let* net, n = instance field in
-  let* seed = default 1 (get field "seed" an_int) in
-  let* restarts = default 4 (get field "restarts" an_int) in
-  let* max_nodes = get field "max_nodes" an_int in
-  let* resume = default false (get field "resume" a_bool) in
-  Ok (Bw { solver; net; n; seed; restarts; max_nodes; resume })
+  let net, n = instance_of field in
+  let seed = int_field field "seed" ~default:1 in
+  let restarts = int_field field "restarts" ~default:4 in
+  let max_nodes =
+    match field "max_nodes" with
+    | None -> None
+    | Some v -> Some (int_value "max_nodes" v)
+  in
+  let resume = bool_field field "resume" ~default:false in
+  Bw { solver; net; n; seed; restarts; max_nodes; resume }
 
 let expansion_of_fields kind field =
-  let* net, n = instance field in
-  let* k = required field "k" an_int in
-  let* exact = default false (get field "exact" a_bool) in
-  let* seed = default 1 (get field "seed" an_int) in
-  Ok (Expansion { kind; net; n; k; exact; seed })
+  let net, n = instance_of field in
+  let k = required_int field "k" in
+  let exact = bool_field field "exact" ~default:false in
+  let seed = int_field field "seed" ~default:1 in
+  Expansion { kind; net; n; k; exact; seed }
 
 let campaign_of_fields field =
-  let* degree = default 3 (get field "degree" an_int) in
-  let* seeds = default 3 (get field "seeds" an_int) in
-  let* sizes = default [ 32; 64 ] (get field "sizes" int_list) in
+  let degree = int_field field "degree" ~default:3 in
+  let seeds = int_field field "seeds" ~default:3 in
+  let sizes =
+    match field "sizes" with
+    | None -> [ 32; 64 ]
+    | Some v -> (
+        let ints l =
+          let ints = List.filter_map Json.to_int_opt l in
+          if List.compare_lengths ints l = 0 then Some ints else None
+        in
+        match Option.bind (Json.to_list_opt v) ints with
+        | Some ints -> ints
+        | None -> mistyped "sizes" "a list of integers")
+  in
   (* serve-side grid caps: a campaign is the most expensive job in the
      vocabulary, and a shared endpoint must bound what one request can pin
      the pool with (Campaign.run validates the rest) *)
-  if seeds > 16 then Error "field \"seeds\" is capped at 16 when serving"
+  if seeds > 16 then raise (Bad "field \"seeds\" is capped at 16 when serving")
   else if List.length sizes > 8 then
-    Error "field \"sizes\" is capped at 8 sizes when serving"
+    raise (Bad "field \"sizes\" is capped at 8 sizes when serving")
   else if List.exists (fun n -> n > 1024) sizes then
-    Error "served campaign sizes are capped at n <= 1024"
-  else Ok (Campaign { degree; sizes; seeds })
+    raise (Bad "served campaign sizes are capped at n <= 1024")
+  else Campaign { degree; sizes; seeds }
 
 let of_fields job field =
-  match job with
-  | "bw" -> bw_of_fields field
-  | "mos" ->
-      let* j = required field "j" an_int in
-      Ok (Mos { j })
-  | "ee" -> expansion_of_fields `Ee field
-  | "ne" -> expansion_of_fields `Ne field
-  | "expansion" -> expansion_of_fields `Both field
-  | "check" ->
-      let* seed = default 42 (get field "seed" an_int) in
-      let* rounds = default 5 (get field "rounds" an_int) in
-      Ok (Check { seed; rounds })
-  | "campaign" -> campaign_of_fields field
-  | s ->
-      Error
-        (Printf.sprintf
-           "unknown job %S (bw|mos|ee|ne|expansion|check|campaign|stats)" s)
+  match
+    match job with
+    | "bw" -> bw_of_fields field
+    | "mos" -> Mos { j = required_int field "j" }
+    | "ee" -> expansion_of_fields `Ee field
+    | "ne" -> expansion_of_fields `Ne field
+    | "expansion" -> expansion_of_fields `Both field
+    | "check" ->
+        let seed = int_field field "seed" ~default:42 in
+        let rounds = int_field field "rounds" ~default:5 in
+        Check { seed; rounds }
+    | "campaign" -> campaign_of_fields field
+    | s ->
+        raise
+          (Bad
+             (Printf.sprintf
+                "unknown job %S (bw|mos|ee|ne|expansion|check|campaign|stats)"
+                s))
+  with
+  | spec -> Ok spec
+  | exception Bad m -> Error m
 
 (* ---- instance graphs ---- *)
 
@@ -238,28 +269,61 @@ let graph_of net n =
 
 let kind_name = function `Ee -> "ee" | `Ne -> "ne" | `Both -> "both"
 
+(* Built in one buffer: the server fingerprints every job request it
+   admits, memo answers included. *)
 let fingerprint ?deadline spec =
-  let body =
-    match spec with
-    | Bw { solver; net; n; seed; restarts; max_nodes; resume } ->
-        Printf.sprintf "bw.%s/%s/%d?seed=%d&restarts=%d&max_nodes=%s&resume=%b"
-          (solver_name solver) (net_name net) n seed restarts
-          (match max_nodes with None -> "-" | Some k -> string_of_int k)
-          resume
-    | Mos { j } -> Printf.sprintf "mos/%d" j
-    | Expansion { kind; net; n; k; exact; seed } ->
-        Printf.sprintf "exp.%s/%s/%d?k=%d&exact=%b&seed=%d" (kind_name kind)
-          (net_name net) n k exact seed
-    | Check { seed; rounds } ->
-        Printf.sprintf "check?seed=%d&rounds=%d" seed rounds
-    | Campaign { degree; sizes; seeds } ->
-        Printf.sprintf "campaign/%d?sizes=%s&seeds=%d" degree
-          (String.concat "," (List.map string_of_int sizes))
-          seeds
-  in
-  match deadline with
-  | None -> body
-  | Some b -> body ^ "@" ^ Budget.to_string b
+  let b = Buffer.create 80 in
+  let add = Buffer.add_string in
+  (match spec with
+  | Bw { solver; net; n; seed; restarts; max_nodes; resume } ->
+      add b "bw.";
+      add b (solver_name solver);
+      add b "/";
+      add b (net_name net);
+      add b "/";
+      add b (decimal n);
+      add b "?seed=";
+      add b (decimal seed);
+      add b "&restarts=";
+      add b (decimal restarts);
+      add b "&max_nodes=";
+      add b (match max_nodes with None -> "-" | Some k -> decimal k);
+      add b "&resume=";
+      add b (string_of_bool resume)
+  | Mos { j } ->
+      add b "mos/";
+      add b (decimal j)
+  | Expansion { kind; net; n; k; exact; seed } ->
+      add b "exp.";
+      add b (kind_name kind);
+      add b "/";
+      add b (net_name net);
+      add b "/";
+      add b (decimal n);
+      add b "?k=";
+      add b (decimal k);
+      add b "&exact=";
+      add b (string_of_bool exact);
+      add b "&seed=";
+      add b (decimal seed)
+  | Check { seed; rounds } ->
+      add b "check?seed=";
+      add b (decimal seed);
+      add b "&rounds=";
+      add b (decimal rounds)
+  | Campaign { degree; sizes; seeds } ->
+      add b "campaign/";
+      add b (decimal degree);
+      add b "?sizes=";
+      add b (String.concat "," (List.map decimal sizes));
+      add b "&seeds=";
+      add b (decimal seeds));
+  (match deadline with
+  | None -> ()
+  | Some d ->
+      add b "@";
+      add b (Budget.to_string d));
+  Buffer.contents b
 
 (* A budget decides whether the exact search degrades to an interval, and
    where it stops depends on what the cache already holds: with

@@ -55,22 +55,55 @@ let parse_request ~default_id line =
 
 (* ---- responses ---- *)
 
+(* Each line is written into one string of its exact length, with the
+   bytes [Json.to_string] gives the same object: the fixed parts are
+   copied, [id] and the payload are quoted by [Json.blit_quoted]. *)
+let put b o s =
+  Bytes.blit_string s 0 b o (String.length s);
+  o + String.length s
+
+let ok_head = "{\"id\":"
+let ok_batch = ",\"ok\":true,\"batch\":"
+let ok_output = ",\"output\":"
+let error_field = ",\"ok\":false,\"error\":"
+
 let ok_response ~id ~batch ~output =
-  Json.to_string
-    (Json.Obj
-       [
-         ("id", Json.Str id);
-         ("ok", Json.Bool true);
-         ("batch", Json.Int batch);
-         ("output", Json.Str output);
-       ])
+  let batch = Json.decimal batch in
+  let b =
+    Bytes.create
+      (String.length ok_head + Json.quoted_length id + String.length ok_batch
+     + String.length batch + String.length ok_output
+     + Json.quoted_length output + 1)
+  in
+  let o = Json.blit_quoted id b (put b 0 ok_head) in
+  let o = put b (put b o ok_batch) batch in
+  let o = Json.blit_quoted output b (put b o ok_output) in
+  Bytes.set b o '}';
+  Bytes.unsafe_to_string b
 
 let error_response ~id msg =
-  Json.to_string
-    (Json.Obj
-       [ ("id", Json.Str id); ("ok", Json.Bool false); ("error", Json.Str msg) ])
+  let b =
+    Bytes.create
+      (String.length ok_head + Json.quoted_length id
+     + String.length error_field + Json.quoted_length msg + 1)
+  in
+  let o = Json.blit_quoted id b (put b 0 ok_head) in
+  let o = Json.blit_quoted msg b (put b o error_field) in
+  Bytes.set b o '}';
+  Bytes.unsafe_to_string b
 
 let stats_response ~id stats =
   let fields = match stats with Json.Obj f -> f | v -> [ ("stats", v) ] in
-  Json.to_string
-    (Json.Obj ([ ("id", Json.Str id); ("ok", Json.Bool true) ] @ fields))
+  let buf = Buffer.create 512 in
+  Buffer.add_string buf ok_head;
+  Json.to_buffer buf (Json.Str id);
+  Buffer.add_string buf ",\"ok\":true";
+  List.iter
+    (fun (k, v) ->
+      Buffer.add_char buf ',';
+      Json.to_buffer buf (Json.Str k);
+      Buffer.add_char buf ':';
+      Json.to_buffer buf v)
+    fields;
+  Buffer.add_char buf '}';
+  Buffer.contents buf

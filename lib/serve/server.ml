@@ -49,7 +49,7 @@ type t = {
   mutable rejected_drain : int;
   mutable parse_errors : int;
   mutable errors : int;
-  mutable seq : int;  (** source of default request ids *)
+  seq : int Atomic.t;  (** source of default request ids *)
   mutable draining : bool;  (** written from signal handlers; latches *)
 }
 
@@ -94,7 +94,7 @@ let create ?queue_bound ?client_bound () =
     rejected_drain = 0;
     parse_errors = 0;
     errors = 0;
-    seq = 0;
+    seq = Atomic.make 0;
     draining = false;
   }
 
@@ -112,10 +112,7 @@ let client ?name ?limit t =
     active = 0;
   }
 
-
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let locked t f = Mutex.protect t.lock f
 
 (* [drain] must stay callable from a signal handler, where taking a mutex
    the interrupted code may already hold would self-deadlock; a latching
@@ -123,8 +120,19 @@ let locked t f =
 let drain t = t.draining <- true
 let draining t = t.draining
 
-let pending t = locked t (fun () -> Batcher.pending_requests t.batcher)
-let queued_batches t = locked t (fun () -> Batcher.pending_batches t.batcher)
+(* Both run after every submission (a transport sizes its dispatch with
+   them), so they take the lock directly instead of through a closure. *)
+let pending t =
+  Mutex.lock t.lock;
+  let n = Batcher.pending_requests t.batcher in
+  Mutex.unlock t.lock;
+  n
+
+let queued_batches t =
+  Mutex.lock t.lock;
+  let n = Batcher.pending_batches t.batcher in
+  Mutex.unlock t.lock;
+  n
 
 (* p50 and p99 of a window copied under the lock: the sort runs outside
    it, so a [stats] request never stalls admission or batch completion *)
@@ -199,83 +207,95 @@ let stats_json t =
           ] );
     ]
 
+(* One response line, answered on the calling thread: its tallies are
+   bumped under one lock acquisition, then [reply] runs outside it. *)
+let respond t ~reply line tally =
+  Mutex.lock t.lock;
+  t.responses <- t.responses + 1;
+  (match tally with
+  | `Parse_error ->
+      t.requests <- t.requests + 1;
+      t.parse_errors <- t.parse_errors + 1
+  | `Stats -> ()
+  | `Drain -> t.rejected_drain <- t.rejected_drain + 1
+  | `Overload -> t.rejected_overload <- t.rejected_overload + 1
+  | `Client -> t.rejected_client <- t.rejected_client + 1
+  | `Memo ns ->
+      t.memo_hits <- t.memo_hits + 1;
+      Latency.record t.latency ~ns);
+  Mutex.unlock t.lock;
+  Metrics.incr c_responses;
+  reply line
+
+(* The admission verdict on a parsed job request, taken under the lock:
+   it counts the request, then rejects it, answers it from the memo of
+   finished outputs, or queues it (tallying a coalesced one). *)
+let admit t client ~id ~reply ~fp ~spec ~deadline =
+  t.requests <- t.requests + 1;
+  if t.draining then `Draining
+  else if Batcher.pending_requests t.batcher >= t.queue_bound then `Overloaded
+  else
+    match client with
+    | Some c when c.active >= c.climit -> `Client_overloaded
+    | _ -> (
+        let t0 = Span.now_ns () in
+        match Batcher.recall t.batcher ~fp ~spec ~deadline with
+        | Some output -> `Remembered (output, t0)
+        | None ->
+            let release =
+              match client with
+              | None -> fun () -> ()
+              | Some c ->
+                  c.active <- c.active + 1;
+                  fun () -> c.active <- c.active - 1
+            in
+            (match
+               Batcher.add t.batcher ~fp ~spec ~deadline
+                 { Batcher.id; reply; t0; release }
+             with
+            | `New -> ()
+            | `Coalesced ->
+                Metrics.incr c_coalesced;
+                t.coalesced <- t.coalesced + 1
+            | `Joined ->
+                Metrics.incr c_coalesced;
+                Metrics.incr c_joined;
+                t.coalesced <- t.coalesced + 1;
+                t.joined <- t.joined + 1);
+            Metrics.set g_queue_depth
+              (float_of_int (Batcher.pending_requests t.batcher));
+            `Queued)
+
+(* A memo answer takes the lock twice: once in [admit], once in
+   [respond]. The default id's sequence number is an atomic, so it needs
+   no lock of its own. *)
 let submit t ?client ~reply line =
   Metrics.incr c_requests;
-  let default_id =
-    locked t (fun () ->
-        t.requests <- t.requests + 1;
-        t.seq <- t.seq + 1;
-        Printf.sprintf "r%d" t.seq)
-  in
-  let answered_with line ~tally =
-    locked t (fun () ->
-        t.responses <- t.responses + 1;
-        tally ());
-    Metrics.incr c_responses;
-    reply line
-  in
+  let default_id = "r" ^ Json.decimal (Atomic.fetch_and_add t.seq 1 + 1) in
   match Protocol.parse_request ~default_id line with
   | Error (msg, id) ->
       Metrics.incr c_parse_error;
-      answered_with
-        (Protocol.error_response ~id msg)
-        ~tally:(fun () -> t.parse_errors <- t.parse_errors + 1)
+      respond t ~reply (Protocol.error_response ~id msg) `Parse_error
   | Ok { id; payload = Protocol.Stats } ->
-      (* build the stats object before touching the lock again:
-         [stats_json] takes it itself *)
+      (* counted before [stats_json] reads the tallies, which it does
+         under the lock itself *)
+      locked t (fun () -> t.requests <- t.requests + 1);
       let stats = stats_json t in
-      answered_with (Protocol.stats_response ~id stats) ~tally:(fun () -> ())
+      respond t ~reply (Protocol.stats_response ~id stats) `Stats
   | Ok { id; payload = Protocol.Job { spec; deadline } } -> (
       let fp = Job.fingerprint ?deadline spec in
       let verdict =
-        locked t (fun () ->
-            if t.draining then `Draining
-            else if Batcher.pending_requests t.batcher >= t.queue_bound then
-              `Overloaded
-            else
-              match client with
-              | Some c when c.active >= c.climit -> `Client_overloaded
-              | _ -> (
-                  let t0 = Span.now_ns () in
-                  match Batcher.recall t.batcher ~fp ~spec ~deadline with
-                  | Some output -> `Remembered (output, t0)
-                  | None ->
-                      let release =
-                        match client with
-                        | None -> fun () -> ()
-                        | Some c ->
-                            c.active <- c.active + 1;
-                            fun () -> c.active <- c.active - 1
-                      in
-                      let how =
-                        Batcher.add t.batcher ~fp ~spec ~deadline
-                          { Batcher.id; reply; t0; release }
-                      in
-                      Metrics.set g_queue_depth
-                        (float_of_int (Batcher.pending_requests t.batcher));
-                      `Queued how))
+        Mutex.lock t.lock;
+        match admit t client ~id ~reply ~fp ~spec ~deadline with
+        | v ->
+            Mutex.unlock t.lock;
+            v
+        | exception e ->
+            Mutex.unlock t.lock;
+            raise e
       in
       match verdict with
-      | `Draining ->
-          Metrics.incr c_rejected_drain;
-          answered_with
-            (Protocol.error_response ~id "draining")
-            ~tally:(fun () -> t.rejected_drain <- t.rejected_drain + 1)
-      | `Overloaded ->
-          Metrics.incr c_rejected_overload;
-          answered_with
-            (Protocol.error_response ~id "overloaded")
-            ~tally:(fun () ->
-              t.rejected_overload <- t.rejected_overload + 1)
-      | `Client_overloaded ->
-          (* same wire verdict as the global bound — the client's remedy
-             (back off and retry) is the same — but tallied separately,
-             because one client at its bound must not look like server
-             saturation *)
-          Metrics.incr c_rejected_client;
-          answered_with
-            (Protocol.error_response ~id "overloaded")
-            ~tally:(fun () -> t.rejected_client <- t.rejected_client + 1)
+      | `Queued -> ()
       | `Remembered (output, t0) ->
           (* a finished twin's output, answered without queueing: it is
              bytes this server's own Job.run produced *)
@@ -283,19 +303,20 @@ let submit t ?client ~reply line =
           let ns = Span.now_ns () - t0 in
           Metrics.incr c_memo_hits;
           Metrics.record t_latency ~ns;
-          answered_with line ~tally:(fun () ->
-              t.memo_hits <- t.memo_hits + 1;
-              Latency.record t.latency ~ns)
-      | `Queued `Coalesced ->
-          Metrics.incr c_coalesced;
-          locked t (fun () -> t.coalesced <- t.coalesced + 1)
-      | `Queued `Joined ->
-          Metrics.incr c_coalesced;
-          Metrics.incr c_joined;
-          locked t (fun () ->
-              t.coalesced <- t.coalesced + 1;
-              t.joined <- t.joined + 1)
-      | `Queued `New -> ())
+          respond t ~reply line (`Memo ns)
+      | `Draining ->
+          Metrics.incr c_rejected_drain;
+          respond t ~reply (Protocol.error_response ~id "draining") `Drain
+      | `Overloaded ->
+          Metrics.incr c_rejected_overload;
+          respond t ~reply (Protocol.error_response ~id "overloaded") `Overload
+      | `Client_overloaded ->
+          (* same wire verdict as the global bound — the client's remedy
+             (back off and retry) is the same — but tallied separately,
+             because one client at its bound must not look like server
+             saturation *)
+          Metrics.incr c_rejected_client;
+          respond t ~reply (Protocol.error_response ~id "overloaded") `Client)
 
 let take_batch t =
   locked t (fun () ->

@@ -1333,6 +1333,178 @@ let test_expansion_answers_validated () =
        (Bfly_check.Invariants.expansion_witness ~kind:`Edge g ~k:4
           ~value:(value + 1) ~witness))
 
+(* ---- the admission path ---- *)
+
+(* Ids, messages and outputs holding every byte class the JSON printer
+   escapes, and UTF-8 it must pass through. *)
+let awkward =
+  [ ""; "r1"; "say \"hi\""; "back\\slash"; "ctl \001\031\n\t\r\b\012";
+    "utf-8 \xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80"; "\127\255";
+    "B_8: BW <= 4 (kl, restarts 1, seed 3)\n" ]
+
+let test_renderers_byte_equal () =
+  let old = Json_reference.to_string in
+  List.iter
+    (fun id ->
+      List.iter
+        (fun text ->
+          List.iter
+            (fun batch ->
+              Alcotest.(check string) "ok_response"
+                (old
+                   (Json.Obj
+                      [ ("id", Json.Str id); ("ok", Json.Bool true);
+                        ("batch", Json.Int batch); ("output", Json.Str text) ]))
+                (Protocol.ok_response ~id ~batch ~output:text))
+            [ 0; 1; 6; 1_024; max_int ];
+          Alcotest.(check string) "error_response"
+            (old
+               (Json.Obj
+                  [ ("id", Json.Str id); ("ok", Json.Bool false); ("error", Json.Str text) ]))
+            (Protocol.error_response ~id text))
+        awkward;
+      let server = Server.create () in
+      List.iter
+        (fun stats ->
+          let fields = match stats with Json.Obj f -> f | v -> [ ("stats", v) ] in
+          Alcotest.(check string) "stats_response"
+            (old (Json.Obj ([ ("id", Json.Str id); ("ok", Json.Bool true) ] @ fields)))
+            (Protocol.stats_response ~id stats))
+        [ Server.stats_json server; Json.Obj []; Json.Int 3;
+          Json.Obj [ (id, Json.Str id); ("f", Json.Float 0.1) ] ])
+    awkward
+
+(* One spec of every kind, pinned: a fingerprint is the coalescing and
+   memo key, so a changed string would split twins or join strangers. *)
+let test_fingerprint_pins () =
+  let net s = match Job.net_of_string s with Ok n -> n | Error e -> Alcotest.fail e in
+  let bw ?(seed = 7) ?(restarts = 4) ?max_nodes ?(resume = false) solver network n =
+    Job.Bw { solver; net = net network; n; seed; restarts; max_nodes; resume }
+  in
+  let deadline =
+    match Bfly_resil.Budget.of_string "250ms" with Ok b -> Some b | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun (deadline, spec, expected) ->
+      Alcotest.(check string) expected expected (Job.fingerprint ?deadline spec))
+    [
+      (None, bw Job.Kl "butterfly" 8,
+       "bw.kl/butterfly/8?seed=7&restarts=4&max_nodes=-&resume=false");
+      (None, bw Job.Exact "wrapped" 16 ~max_nodes:100,
+       "bw.exact/wrapped/16?seed=7&restarts=4&max_nodes=100&resume=false");
+      (None, bw Job.Exact "ccc" 8 ~resume:true,
+       "bw.exact/ccc/8?seed=7&restarts=4&max_nodes=-&resume=true");
+      (deadline, bw Job.Spectral "butterfly" 16 ~seed:(-5) ~restarts:1,
+       "bw.spectral/butterfly/16?seed=-5&restarts=1&max_nodes=-&resume=false@0.25s");
+      (None, bw Job.Ml "torus:4x4x4" 0 ~seed:123456789,
+       "bw.ml/torus:4x4x4/0?seed=123456789&restarts=4&max_nodes=-&resume=false");
+      (None, bw Job.Sa "bcube:4x2" 0,
+       "bw.sa/bcube:4x2/0?seed=7&restarts=4&max_nodes=-&resume=false");
+      (None, bw Job.Fm "product:path2xring3xk4" 0,
+       "bw.fm/product:path2xring3xk4/0?seed=7&restarts=4&max_nodes=-&resume=false");
+      (None, Job.Expansion { kind = `Ee; net = net "mesh:3x3"; n = 0; k = 4; exact = true; seed = 1 },
+       "exp.ee/mesh:3x3/0?k=4&exact=true&seed=1");
+      (None, Job.Expansion { kind = `Ne; net = net "wrapped"; n = 8; k = 6; exact = false; seed = 9 },
+       "exp.ne/wrapped/8?k=6&exact=false&seed=9");
+      (deadline, Job.Expansion { kind = `Both; net = net "butterfly"; n = 8; k = 3; exact = true; seed = 2 },
+       "exp.both/butterfly/8?k=3&exact=true&seed=2@0.25s");
+      (None, Job.Mos { j = 64 }, "mos/64");
+      (None, Job.Check { seed = 42; rounds = 5 }, "check?seed=42&rounds=5");
+      (None, Job.Campaign { degree = 3; sizes = [ 32; 64; 1024 ]; seeds = 16 },
+       "campaign/3?sizes=32,64,1024&seeds=16");
+    ]
+
+(* Every missing, mistyped and capped field, with its message pinned; the
+   first bad field in reading order wins, and the served error carries
+   the same message. *)
+let test_field_errors () =
+  List.iter
+    (fun (line, expected) ->
+      let obj = parse_response line in
+      let job = str_field obj "job" in
+      let got =
+        match Job.of_fields job (fun k -> Json.member k obj) with
+        | Ok spec -> "ok " ^ Job.fingerprint spec
+        | Error m -> m
+      in
+      Alcotest.(check string) line expected got;
+      match Protocol.parse_request ~default_id:"d" line with
+      | Error (m, id) ->
+          Alcotest.(check (pair string string)) "served" (expected, "d") (m, id)
+      | Ok _ -> Alcotest.(check string) "served" expected got)
+    [
+      ({|{"job":"bw","solver":1,"network":5}|}, "field \"solver\" must be a string");
+      ({|{"job":"bw","solver":"x","network":"butterfly","n":8}|}, "unknown solver \"x\" (exact|kl|fm|sa|spectral|ml)");
+      ({|{"job":"bw","solver":"kl"}|}, "field \"network\" is required");
+      ({|{"job":"bw","network":5,"n":8}|}, "field \"network\" must be a string");
+      ({|{"job":"bw","network":"hypercube","n":8}|}, "unknown network \"hypercube\" (butterfly|wrapped|ccc, or a fabric spec mesh:|torus:|torus3d:|bcube:|product:)");
+      ({|{"job":"bw","network":"mesh:0x3"}|}, "Fabric: mesh dimensions must be >= 1");
+      ({|{"job":"bw","network":"mesh:3x"}|}, "bad fabric spec \"mesh:3x\" (expected mesh:AxBx.., torus:AxBx.., torus3d:AxBxC, bcube:PORTSxLEVELS, or product:path2xring3xk4)");
+      ({|{"job":"bw","network":"torus:4x4","n":16}|}, "field \"n\" must be omitted for fabric networks (the spec fixes the size)");
+      ({|{"job":"bw","network":"butterfly"}|}, "field \"n\" is required");
+      ({|{"job":"bw","network":"butterfly","n":"8"}|}, "field \"n\" must be an integer");
+      ({|{"job":"bw","network":"butterfly","n":8.5}|}, "field \"n\" must be an integer");
+      ({|{"job":"bw","network":"butterfly","n":8,"seed":"1"}|}, "field \"seed\" must be an integer");
+      ({|{"job":"bw","network":"butterfly","n":8,"restarts":[4]}|}, "field \"restarts\" must be an integer");
+      ({|{"job":"bw","network":"butterfly","n":8,"max_nodes":true}|}, "field \"max_nodes\" must be an integer");
+      ({|{"job":"bw","network":"butterfly","n":8,"resume":1}|}, "field \"resume\" must be a boolean");
+      ({|{"job":"ee","network":"butterfly","n":8}|}, "field \"k\" is required");
+      ({|{"job":"ne","network":"butterfly","n":8,"k":"4"}|}, "field \"k\" must be an integer");
+      ({|{"job":"expansion","network":"butterfly","n":8,"k":4,"exact":"yes"}|}, "field \"exact\" must be a boolean");
+      ({|{"job":"ee","network":"mesh:3x3","k":4,"seed":null}|}, "field \"seed\" must be an integer");
+      ({|{"job":"ee","k":4}|}, "field \"network\" is required");
+      ({|{"job":"mos"}|}, "field \"j\" is required");
+      ({|{"job":"mos","j":{}}|}, "field \"j\" must be an integer");
+      ({|{"job":"check","seed":1.5}|}, "field \"seed\" must be an integer");
+      ({|{"job":"check","rounds":"5"}|}, "field \"rounds\" must be an integer");
+      ({|{"job":"campaign","degree":"3"}|}, "field \"degree\" must be an integer");
+      ({|{"job":"campaign","seeds":false}|}, "field \"seeds\" must be an integer");
+      ({|{"job":"campaign","sizes":32}|}, "field \"sizes\" must be a list of integers");
+      ({|{"job":"campaign","sizes":[32,"64"]}|}, "field \"sizes\" must be a list of integers");
+      ({|{"job":"campaign","seeds":17}|}, "field \"seeds\" is capped at 16 when serving");
+      ({|{"job":"campaign","sizes":[16,16,16,16,16,16,16,16,16]}|}, "field \"sizes\" is capped at 8 sizes when serving");
+      ({|{"job":"campaign","sizes":[32,2048]}|}, "served campaign sizes are capped at n <= 1024");
+      ({|{"job":"campaign","seeds":17,"sizes":[2048]}|}, "field \"seeds\" is capped at 16 when serving");
+      ({|{"job":"route"}|}, "unknown job \"route\" (bw|mos|ee|ne|expansion|check|campaign|stats)");
+      ({|{"job":"bw","network":"butterfly","n":8.0,"seed":-3}|}, "ok bw.exact/butterfly/8?seed=-3&restarts=4&max_nodes=-&resume=false");
+    ]
+
+(* A memo answer never calls Job.run: parsing, fingerprinting, the memo
+   lookup and the rendered line are all it costs. Minor words per
+   Server.submit, averaged over 500 answers after one solve: the
+   implementation before these budgets allocated 1,307 (the bw request)
+   and 1,119 (the fabric ee request), and a memo answer may take at most
+   a quarter of that. *)
+let test_memo_answer_budget () =
+  with_fresh_cache @@ fun () ->
+  let server = Server.create () in
+  List.iter
+    (fun (line, parent) ->
+      let last = ref "" in
+      let reply l = last := l in
+      Server.submit server ~reply line;
+      ignore (Server.run_pending server);
+      let solved = parse_response !last in
+      let calls = 500 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to calls do
+        Server.submit server ~reply line
+      done;
+      let words = (Gc.minor_words () -. w0) /. float_of_int calls in
+      let budget = parent / 4 in
+      checkb
+        (Printf.sprintf "%s: %.0f minor words per memo answer <= %d" line words budget)
+        true
+        (words <= float_of_int budget);
+      let memo = parse_response !last in
+      check "a memo answer" 0 (int_field memo "batch");
+      Alcotest.(check string) "the solve's output" (str_field solved "output")
+        (str_field memo "output"))
+    [
+      ({|{"id":"q17","job":"bw","solver":"kl","network":"butterfly","n":8,"seed":3,"restarts":1}|}, 1_307);
+      ({|{"id":"q18","job":"ee","network":"mesh:4x5","k":3,"exact":true}|}, 1_119);
+    ]
+
 let suite =
   [
     slow_case "replay: 120 requests coalesce, bytes match one-shot"
@@ -1389,4 +1561,12 @@ let suite =
       test_warm_hit_verifies;
     case "expansion answers are validated, outputs unchanged"
       test_expansion_answers_validated;
+    case "admission: response lines byte-equal the JSON printer's"
+      test_renderers_byte_equal;
+    case "admission: fingerprints of every job kind pinned"
+      test_fingerprint_pins;
+    case "admission: every field error pinned, first error wins"
+      test_field_errors;
+    case "admission: minor-word budget for a memo answer, bw and fabric ee"
+      test_memo_answer_budget;
   ]
