@@ -14,8 +14,10 @@
     dispatch interleaving. (The number of batches is not pinned: a
     sequential replay finds more twins already finished, see below.)
 
-    All state is guarded by one internal mutex: {!submit} (transport
-    thread) and {!execute_batch} (pool domains) may run concurrently.
+    All state but the atomic sequence behind default ids is guarded by
+    one internal mutex: {!submit} (transport thread) and {!execute_batch}
+    (pool domains) may run concurrently. A memo answer takes it twice,
+    for the admission verdict and for the response tallies.
 
     {2 Admission}
 
