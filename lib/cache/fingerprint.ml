@@ -28,12 +28,14 @@ let raw_int h v =
 
 let int h v = raw_int (byte h tag_int) v
 
-let string h s =
-  let h = ref (raw_int (byte h tag_string) (String.length s)) in
+let bytes h s =
+  let h = ref h in
   for i = 0 to String.length s - 1 do
     h := byte !h (Char.code (String.unsafe_get s i))
   done;
   !h
+
+let string h s = bytes (raw_int (byte h tag_string) (String.length s)) s
 
 let int_array h a =
   let h = ref (raw_int (byte h tag_array) (Array.length a)) in

@@ -27,6 +27,11 @@ val int : t -> int -> t
 (** Fold a string, length-prefixed. *)
 val string : t -> string -> t
 
+(** Fold a string's bytes with no tag and no length prefix: the plain
+    FNV-1a stream ([to_hex (bytes seed s)] is the textbook 64-bit FNV-1a
+    of [s]), for digests of byte streams, never for cache keys. *)
+val bytes : t -> string -> t
+
 (** Fold an integer array, length-prefixed. *)
 val int_array : t -> int array -> t
 

@@ -1,4 +1,4 @@
-(** Process-wide, thread-safe metrics: counters, gauges and timers.
+(** Thread-safe metrics: counters, gauges and timers.
 
     Every hot kernel in the repo (the {!Bfly_graph.Parallel} domain pool,
     the restart loops of [Bfly_cuts.Heuristics], the branch-and-bound of
@@ -6,12 +6,15 @@
     [bench/main.exe --json] and [bfly_tool --metrics] can report a
     machine-readable account of a run. Handles are registered by name on
     first use and live for the whole process; all updates are lock-free
-    ([Atomic]) and safe to call concurrently from any domain.
+    ([Atomic]) and safe to call concurrently from any domain. A
+    component that reports its own numbers (a [Bfly_serve.Server]
+    answering [stats]) records each event once, into a {!registry} of
+    its own, which {!snapshot} adds into the process view.
 
     Naming scheme (see ARCHITECTURE.md): [<area>.<kernel>.<metric>], e.g.
     [parallel.tasks], [heuristics.kl.restarts], [exact.bb.nodes]. Timer
     names omit the trailing [.<metric>] since a timer is itself a
-    (count, total, max) triple. *)
+    (count, total, max, quantiles) record. *)
 
 type counter
 (** A monotonically increasing integer (e.g. nodes explored, tasks run). *)
@@ -21,16 +24,27 @@ type gauge
 
 type timer
 (** An accumulator of timed spans: invocation count, total and max
-    duration in nanoseconds. Fed by {!Span}. *)
+    duration in nanoseconds, and a histogram of the durations with fixed
+    log-linear buckets, allocated on the first record: a value below
+    16 ns is its own bucket, and above that each power of two splits
+    into 16 linear sub-buckets. Fed by {!Span}. *)
+
+type registry
+(** Counters and timers reported together; it lives for the whole
+    process, and {!snapshot} and {!reset} cover it. *)
+
+val registry : unit -> registry
 
 (** {1 Registration}
 
-    All three are idempotent: the same name always returns the same
-    handle, from any domain. *)
+    Idempotent: the same name always returns the same handle from one
+    registry, from any domain. [registry] defaults to the process
+    registry; gauges (last write wins, which no sum honours) live only
+    there. *)
 
-val counter : string -> counter
+val counter : ?registry:registry -> string -> counter
 val gauge : string -> gauge
-val timer : string -> timer
+val timer : ?registry:registry -> string -> timer
 
 (** {1 Updates} *)
 
@@ -50,9 +64,9 @@ val set_max : gauge -> float -> unit
     last-writer win. *)
 
 val record : timer -> ns:int -> unit
-(** [record t ~ns] folds one span of [ns] nanoseconds into [t]. Negative
-    durations are clamped to 0 (a monotonic clock should never produce
-    one, but a metrics layer must not crash if it does). *)
+(** [record t ~ns] folds one span of [ns] nanoseconds into [t], without
+    a lock. Negative durations are clamped to 0 (a monotonic clock should
+    never produce one, but a metrics layer must not crash if it does). *)
 
 (** {1 Reads} *)
 
@@ -62,32 +76,47 @@ val counter_value : counter -> int
 val gauge_value : gauge -> float
 (** Last value written to a gauge. *)
 
-type timer_stat = { count : int; total_ns : int; max_ns : int }
-(** Aggregate of every span recorded into one timer. *)
+type timer_stat = {
+  count : int;
+  total_ns : int;
+  max_ns : int;  (** exact *)
+  p50_ns : int;
+  p90_ns : int;
+  p99_ns : int;
+}
+(** Aggregate of every span recorded into one timer over its whole
+    lifetime (since it was made or last {!reset}), not a window. A
+    quantile is the nearest-rank one (sample ⌈q·n⌉ of n, so p50 of two
+    samples is the smaller) read from the histogram: the lower edge of
+    the bucket holding that sample, exact below 16 ns and at most 6.25%
+    low above. [0] for a timer that recorded nothing. *)
 
 val timer_stat : timer -> timer_stat
-(** Current aggregate of a timer. *)
+(** Current aggregate of one timer. *)
 
 type snapshot = {
   counters : (string * int) list;
   gauges : (string * float) list;
   timers : (string * timer_stat) list;
 }
-(** A consistent-enough point-in-time copy of the registry, each section
-    sorted by name. ("Consistent enough": each cell is read atomically,
-    but the snapshot as a whole is not a global atomic cut — fine for
-    reporting.) *)
+(** A consistent-enough point-in-time copy of the process view, each
+    section sorted by name. ("Consistent enough": each cell is read
+    atomically, but the snapshot as a whole is not a global atomic cut —
+    fine for reporting.) *)
 
 val snapshot : unit -> snapshot
+(** The process view: every registry added into the process registry at
+    read time. A name in several registries reads as their sum; a timer's
+    histograms add bucket by bucket, and its max is the largest. *)
 
 val reset : unit -> unit
-(** Zero every registered metric, keeping registrations. Used by tests and
-    by [bfly_tool --metrics] to scope metrics to one subcommand. *)
+(** Zero every metric of every registry, keeping registrations. Used by
+    tests. *)
 
 (** {1 Serialization} *)
 
 val to_json : unit -> Json.t
 (** The snapshot as
-    [{"counters":{...},"gauges":{...},"timers":{name:{"count":..,"total_ns":..,"max_ns":..}}}]. *)
+    [{"counters":{...},"gauges":{...},"timers":{name:{"count":..,"total_ns":..,"max_ns":..,"p50_ns":..,"p90_ns":..,"p99_ns":..}}}]. *)
 
 val to_json_string : unit -> string

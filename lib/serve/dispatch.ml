@@ -17,8 +17,6 @@ let create ?cap server =
   in
   { server; cap; m = Mutex.create (); idle = Condition.create (); spawned = 0 }
 
-let cap t = t.cap
-
 (* One detached pool job: execute batches until the server's queue is
    empty, then retire. The retire path rechecks the queue under [m] —
    [pump] counts a retiring worker as alive, so a batch submitted in the

@@ -34,8 +34,6 @@ val create : ?cap:int -> Server.t -> t
     [Bfly_graph.Parallel.domain_count ()]. Raises [Invalid_argument] when
     [< 1]. *)
 
-val cap : t -> int
-
 val pump : t -> unit
 (** Spawn enough detached workers (up to [cap]) to cover the currently
     queued batches. Non-blocking on a multi-domain pool; with one

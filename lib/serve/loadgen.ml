@@ -1,6 +1,7 @@
 module Json = Bfly_obs.Json
 module Metrics = Bfly_obs.Metrics
 module Span = Bfly_obs.Span
+module Fingerprint = Bfly_cache.Fingerprint
 
 let g_qps = Metrics.gauge "serve.qps"
 
@@ -16,24 +17,13 @@ let mode_name = function
 
 type event = { client : int; line : string }
 
-(* FNV-1a, 64-bit: a stable, dependency-free content fingerprint for
-   traces, schedules and output streams (not cryptographic — a drift
-   detector, like bench value documents) *)
-let fnv_fold h s =
-  let h = ref h in
-  String.iter
-    (fun ch ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code ch)))
-             0x100000001b3L)
-    s;
-  !h
-
-let fnv_init = 0xcbf29ce484222325L
-let fnv_hex h = Printf.sprintf "%016Lx" h
-let fnv64 s = fnv_hex (fnv_fold fnv_init s)
+(* Traces, schedules and output streams are fingerprinted as one plain
+   FNV-1a byte stream each, newline-terminated lines (not cryptographic —
+   a drift detector, like bench value documents) *)
+let line h l = Fingerprint.bytes (Fingerprint.bytes h l) "\n"
 
 let fingerprint_lines lines =
-  fnv_hex (List.fold_left (fun h l -> fnv_fold h (l ^ "\n")) fnv_init lines)
+  Fingerprint.to_hex (List.fold_left line Fingerprint.seed lines)
 
 (* [repeat] rounds over the trace; each round is a seeded permutation of
    the trace lines, and every event is assigned to a seeded client — so
@@ -65,43 +55,28 @@ let schedule ~seed ~clients ~repeat ~trace =
   Array.of_list (List.rev !events)
 
 let schedule_fingerprint events =
-  fnv_hex
+  Fingerprint.to_hex
     (Array.fold_left
-       (fun h ev -> fnv_fold h (Printf.sprintf "%d:%s\n" ev.client ev.line))
-       fnv_init events)
+       (fun h ev ->
+         line (Fingerprint.bytes h (string_of_int ev.client ^ ":")) ev.line)
+       Fingerprint.seed events)
 
-(* responses are fingerprinted by their payload only — the [output] or
-   [error] field — never the whole line: the [batch] width field reflects
-   timing-dependent coalescing and must not enter a determinism gate *)
-let response_payload = function
-  | None -> "none"
+(* A response's fingerprinted payload — its [output] or [error] field,
+   never the whole line: the [batch] width field reflects
+   timing-dependent coalescing and must not enter a determinism gate —
+   and whether it is ok. *)
+let payload = function
+  | None -> ("none", false)
   | Some line -> (
       match Json.of_string line with
-      | Error _ -> "raw:" ^ line
-      | Ok obj -> (
-          match Option.bind (Json.member "output" obj) Json.to_string_opt with
-          | Some out -> "o:" ^ out
-          | None -> (
-              match
-                Option.bind (Json.member "error" obj) Json.to_string_opt
-              with
-              | Some err -> "e:" ^ err
-              | None -> "s:stats")))
-
-let outputs_fingerprint responses =
-  fnv_hex
-    (Array.fold_left
-       (fun h r -> fnv_fold h (response_payload r ^ "\n"))
-       fnv_init responses)
-
-let response_ok = function
-  | None -> false
-  | Some line -> (
-      match Json.of_string line with
-      | Error _ -> false
+      | Error _ -> ("raw:" ^ line, false)
       | Ok obj ->
-          Option.value ~default:false
-            (Option.bind (Json.member "ok" obj) Json.to_bool_opt))
+          let str k = Option.bind (Json.member k obj) Json.to_string_opt in
+          ( (match (str "output", str "error") with
+            | Some out, _ -> "o:" ^ out
+            | None, Some err -> "e:" ^ err
+            | None, None -> "s:stats"),
+            Option.bind (Json.member "ok" obj) Json.to_bool_opt = Some true ))
 
 (* ---- pacing ---- *)
 
@@ -114,23 +89,19 @@ let pace ~t_start ~qps i =
 
 (* ---- in-process execution (Concurrent / Sequential) ---- *)
 
-let run_in_process ~mode ~events ~clients ~qps ~workers ~queue_bound =
+let run_in_process ~latency ~mode ~events ~clients ~qps ~workers ~queue_bound =
   let n = Array.length events in
   let queue_bound =
     match queue_bound with Some b -> b | None -> max 128 (n + 1)
   in
   let server = Server.create ~queue_bound () in
-  let handles =
-    Array.init clients (fun i ->
-        Server.client ~name:(Printf.sprintf "c%d" i) server)
-  in
+  let handles = Array.init clients (fun _ -> Server.client server) in
   let dispatch =
     match mode with
     | Concurrent -> Some (Dispatch.create ~cap:workers server)
     | _ -> None
   in
   let responses = Array.make n None in
-  let lat = Array.make n 0 in
   let t_start = Span.now_ns () in
   Array.iteri
     (fun i ev ->
@@ -139,7 +110,7 @@ let run_in_process ~mode ~events ~clients ~qps ~workers ~queue_bound =
       Server.submit server
         ~client:handles.(ev.client)
         ~reply:(fun line ->
-          lat.(i) <- Span.now_ns () - t0;
+          Metrics.record latency ~ns:(Span.now_ns () - t0);
           responses.(i) <- Some line)
         ev.line;
       match dispatch with
@@ -152,53 +123,39 @@ let run_in_process ~mode ~events ~clients ~qps ~workers ~queue_bound =
       Dispatch.wait_idle d
   | None -> ignore (Server.run_pending server));
   let wall_ns = Span.now_ns () - t_start in
-  (responses, lat, wall_ns, Some (Server.stats_json server))
+  (responses, wall_ns, Some (Server.stats_json server))
 
 (* ---- external-server execution (Connect) ---- *)
 
 let connect_fd target =
-  match target with
-  | `Unix path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_UNIX path)
-       with e ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         raise e);
-      fd
-  | `Tcp (host, port) ->
-      let inet =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (
-          match Unix.getaddrinfo host "" [ Unix.AI_FAMILY Unix.PF_INET ] with
-          | { Unix.ai_addr = Unix.ADDR_INET (a, _); _ } :: _ -> a
-          | _ -> failwith (Printf.sprintf "cannot resolve host %S" host))
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try
-         Unix.connect fd (Unix.ADDR_INET (inet, port));
-         Unix.setsockopt fd Unix.TCP_NODELAY true
-       with e ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         raise e);
-      fd
+  let domain, addr =
+    match target with
+    | `Unix path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+    | `Tcp (host, port) ->
+        (Unix.PF_INET, Unix.ADDR_INET (Transport.inet_addr host, port))
+  in
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  (try
+     Unix.connect fd addr;
+     if domain = Unix.PF_INET then Unix.setsockopt fd Unix.TCP_NODELAY true
+   with e ->
+     (try Unix.close fd with Unix.Unix_error _ -> ());
+     raise e);
+  fd
 
-let write_line fd line =
-  let s = line ^ "\n" in
-  let b = Bytes.unsafe_of_string s in
-  let len = Bytes.length b in
-  let pos = ref 0 in
-  while !pos < len do
-    match Unix.write fd b !pos (len - !pos) with
-    | 0 -> raise Exit
-    | k -> pos := !pos + k
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done
+let write_line fd line = Transport.write_all fd (line ^ "\n")
 
 (* One real connection per client: a writer (the client thread itself,
    pacing its events against the global schedule clock) plus a reader
    thread relying on the transport's per-connection ordering guarantee —
-   response k on a connection answers that connection's request k. *)
-let run_connect ~target ~events ~clients ~qps =
+   response k on a connection answers that connection's request k. Both
+   are threads of this domain, so the reader sees the writer's send
+   time. *)
+let run_connect ~latency ~target ~events ~clients ~qps =
+  (* a server that hangs up (a refusal, a crash) must cost that client's
+     answers, not the process: writes then fail with EPIPE *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ | Sys_error _ -> ());
   let n = Array.length events in
   let per = Array.make clients [] in
   Array.iteri (fun i ev -> per.(ev.client) <- (i, ev.line) :: per.(ev.client))
@@ -206,15 +163,13 @@ let run_connect ~target ~events ~clients ~qps =
   let per = Array.map List.rev per in
   let responses = Array.make n None in
   let send_ns = Array.make n 0 in
-  let recv_ns = Array.make n 0 in
-  let failures = Atomic.make 0 in
   let t_start = Span.now_ns () in
   let client_thread ci () =
     match per.(ci) with
     | [] -> ()
     | evs -> (
         match connect_fd target with
-        | exception _ -> Atomic.incr failures
+        | exception _ -> ()
         | fd ->
             let reader =
               Thread.create
@@ -224,7 +179,8 @@ let run_connect ~target ~events ~clients ~qps =
                     (fun (i, _) ->
                       match In_channel.input_line ic with
                       | Some line ->
-                          recv_ns.(i) <- Span.now_ns ();
+                          Metrics.record latency
+                            ~ns:(Span.now_ns () - send_ns.(i));
                           responses.(i) <- Some line
                       | None -> ())
                     evs)
@@ -237,7 +193,7 @@ let run_connect ~target ~events ~clients ~qps =
                    send_ns.(i) <- Span.now_ns ();
                    write_line fd line)
                  evs
-             with _ -> Atomic.incr failures);
+             with _ -> ());
             (try Unix.shutdown fd Unix.SHUTDOWN_SEND
              with Unix.Unix_error _ -> ());
             Thread.join reader;
@@ -246,10 +202,6 @@ let run_connect ~target ~events ~clients ~qps =
   let threads = List.init clients (fun ci -> Thread.create (client_thread ci) ()) in
   List.iter Thread.join threads;
   let wall_ns = Span.now_ns () - t_start in
-  let lat =
-    Array.init n (fun i ->
-        if responses.(i) = None then 0 else max 0 (recv_ns.(i) - send_ns.(i)))
-  in
   (* a best-effort stats fetch over one extra connection, embedded for
      inspection (excluded from the deterministic view) *)
   let server_stats =
@@ -269,20 +221,18 @@ let run_connect ~target ~events ~clients ~qps =
         (try Unix.close fd with Unix.Unix_error _ -> ());
         stats
   in
-  ignore (Atomic.get failures);
-  (responses, lat, wall_ns, server_stats)
+  (responses, wall_ns, server_stats)
 
 (* ---- the document ---- *)
 
 let schema = "bfly-loadgen/1"
 
 let document ~mode ~seed ~clients ~repeat ~qps ~workers ~trace ~events
-    ~responses ~lat ~wall_ns ~server_stats =
+    ~responses ~(latency : Metrics.timer_stat) ~wall_ns ~server_stats =
   let n = Array.length events in
   let answered = Array.fold_left (fun a r -> if r <> None then a + 1 else a) 0 responses in
-  let ok = Array.fold_left (fun a r -> if response_ok r then a + 1 else a) 0 responses in
-  let sorted = Array.copy lat in
-  Array.sort compare sorted;
+  let payloads = Array.map payload responses in
+  let ok = Array.fold_left (fun a (_, ok) -> if ok then a + 1 else a) 0 payloads in
   let achieved_qps =
     if wall_ns <= 0 then 0.
     else float_of_int n /. (float_of_int wall_ns /. 1e9)
@@ -303,16 +253,19 @@ let document ~mode ~seed ~clients ~repeat ~qps ~workers ~trace ~events
       ("responses", Json.Int answered);
       ("ok", Json.Int ok);
       ("errors", Json.Int (n - ok));
-      ("outputs_fingerprint", Json.Str (outputs_fingerprint responses));
+      ( "outputs_fingerprint",
+        Json.Str
+          (Fingerprint.to_hex
+             (Array.fold_left (fun h (p, _) -> line h p) Fingerprint.seed payloads)) );
       ( "timing",
         Json.Obj
           [
             ("wall_ns", Json.Int wall_ns);
             ("achieved_qps", Json.Float achieved_qps);
-            ("p50_ns", Json.Int (Latency.quantile sorted 0.5));
-            ("p90_ns", Json.Int (Latency.quantile sorted 0.9));
-            ("p99_ns", Json.Int (Latency.quantile sorted 0.99));
-            ("max_ns", Json.Int (if Array.length sorted = 0 then 0 else sorted.(Array.length sorted - 1)));
+            ("p50_ns", Json.Int latency.p50_ns);
+            ("p90_ns", Json.Int latency.p90_ns);
+            ("p99_ns", Json.Int latency.p99_ns);
+            ("max_ns", Json.Int latency.max_ns);
           ] );
       ( "server",
         match server_stats with Some s -> s | None -> Json.Null );
@@ -330,16 +283,22 @@ let run ?(seed = 1) ?(clients = 4) ?(repeat = 10) ?(qps = 0.) ?workers
       | None -> Bfly_graph.Parallel.domain_count ()
     in
     let events = schedule ~seed ~clients ~repeat ~trace in
+    (* every answered request, timed from its submission (or send) to its
+       answer, in this run's own registry *)
+    let latency = Metrics.timer ~registry:(Metrics.registry ()) "loadgen.latency" in
     match
       match mode with
-      | Connect target -> run_connect ~target ~events ~clients ~qps
-      | _ -> run_in_process ~mode ~events ~clients ~qps ~workers ~queue_bound
+      | Connect target -> run_connect ~latency ~target ~events ~clients ~qps
+      | _ ->
+          run_in_process ~latency ~mode ~events ~clients ~qps ~workers
+            ~queue_bound
     with
     | exception e -> Error ("loadgen: " ^ Printexc.to_string e)
-    | responses, lat, wall_ns, server_stats ->
+    | responses, wall_ns, server_stats ->
         Ok
           (document ~mode ~seed ~clients ~repeat ~qps ~workers ~trace ~events
-             ~responses ~lat ~wall_ns ~server_stats)
+             ~responses ~latency:(Metrics.timer_stat latency) ~wall_ns
+             ~server_stats)
   end
 
 (* ---- views and comparison ---- *)

@@ -16,12 +16,21 @@
     - deterministic fields — [seed], [clients], [repeat],
       [trace_fingerprint], [schedule_fingerprint], [requests],
       [responses], [ok], [errors], and [outputs_fingerprint], a 64-bit
-      FNV-1a digest over each response's [output]/[error] payload (never
-      the whole line: the [batch] width reflects scheduling). These must
-      be bit-equal across worker counts, modes and machines.
+      FNV-1a digest ({!Bfly_cache.Fingerprint.bytes}) over each
+      response's [output]/[error] payload (never the whole line: the
+      [batch] width reflects scheduling). These must be bit-equal across
+      worker counts, modes and machines.
     - [timing] — [wall_ns], [achieved_qps], [p50_ns]/[p90_ns]/[p99_ns]/
       [max_ns] — compared only against a slack factor, and [server], the
       server's stats object, kept for inspection only.
+
+    The latency fields cover the {e answered} requests only, each
+    recorded once, when its answer arrives, into a [Bfly_obs.Metrics]
+    timer of the run's own registry: from submission (in process) or
+    from the write of its line (over a socket). They are the timer's
+    quantiles, read from its histogram over the whole run (no sample is
+    dropped or windowed): each the lower edge of its bucket, at most
+    6.25% below the exact nearest-rank value; [max_ns] is exact.
 
     {!compare_docs} is the CI gate: deterministic drift always fails;
     timing drift fails only beyond [slack], and can be disabled entirely
@@ -87,5 +96,4 @@ val compare_docs :
 
 (**/**)
 
-val fnv64 : string -> string
 val fingerprint_lines : string list -> string

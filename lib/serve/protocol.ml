@@ -11,6 +11,11 @@ type request = { id : string; payload : payload }
 
 let ( let* ) = Result.bind
 
+let id_of ~default_id = function
+  | Some (Json.Str s) -> s
+  | Some (Json.Int i) -> string_of_int i
+  | _ -> default_id
+
 (* A request's own fields are [id], [job] and [deadline]; every other field
    belongs to the job and is read by Job.of_fields, the reader the CLI
    shares. *)
@@ -19,17 +24,19 @@ let parse_request ~default_id line =
   | Error m -> Error ("request is not valid JSON: " ^ m, default_id)
   | Ok obj when Json.duplicate_key obj <> None ->
       (* first-key-wins lookup would silently ignore the later value; an
-         ambiguous request is malformed, not a preference *)
-      let k = Option.get (Json.duplicate_key obj) in
-      Error (Printf.sprintf "duplicate key %S in request object" k, default_id)
-  | Ok (Json.Obj _ as obj) -> (
-      let field k = Json.member k obj in
+         ambiguous request is malformed, not a preference — but an id that
+         occurs once at the top level still addresses the answer *)
+      let top = match obj with Json.Obj fields -> fields | _ -> [] in
       let id =
-        match field "id" with
-        | Some (Json.Str s) -> s
-        | Some (Json.Int i) -> string_of_int i
+        match List.filter (fun (k, _) -> String.equal k "id") top with
+        | [ (_, v) ] -> id_of ~default_id (Some v)
         | _ -> default_id
       in
+      let k = Option.get (Json.duplicate_key obj) in
+      Error (Printf.sprintf "duplicate key %S in request object" k, id)
+  | Ok (Json.Obj _ as obj) -> (
+      let field k = Json.member k obj in
+      let id = id_of ~default_id (field "id") in
       let payload =
         match field "job" with
         | None -> Error "field \"job\" is required"

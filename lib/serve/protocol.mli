@@ -55,7 +55,9 @@ val parse_request : default_id:string -> string -> (request, string * string) re
 (** [parse_request ~default_id line] parses one request line. Errors carry
     [(message, id)] — the request's [id] when the line parsed far enough
     to have one, else [default_id] — so a malformed line still gets an
-    addressable response. *)
+    addressable response. A request that repeats a key is rejected, and
+    answered under its top-level [id] when that key occurs there exactly
+    once (under [default_id] when the [id] itself repeats). *)
 
 val ok_response : id:string -> batch:int -> output:string -> string
 (** One response line (no trailing newline). *)

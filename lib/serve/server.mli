@@ -14,10 +14,11 @@
     dispatch interleaving. (The number of batches is not pinned: a
     sequential replay finds more twins already finished, see below.)
 
-    All state but the atomic sequence behind default ids is guarded by
-    one internal mutex: {!submit} (transport thread) and {!execute_batch}
-    (pool domains) may run concurrently. A memo answer takes it twice,
-    for the admission verdict and for the response tallies.
+    The queue, the memo, the client handles and the count of batches in
+    flight are guarded by one internal mutex: {!submit} (transport
+    thread) and {!execute_batch} (pool domains) may run concurrently.
+    The metrics below and the sequence behind default ids are atomic, so
+    a memo answer takes the mutex once, for its admission verdict.
 
     {2 Admission}
 
@@ -44,18 +45,23 @@
 
     {2 Metrics}
 
-    Counters [serve.requests], [serve.responses], [serve.batches],
-    [serve.coalesced], [serve.joined_inflight] (duplicates that joined a
-    batch already solving), [serve.memo_hits] (requests answered from
-    the memo of finished outputs), [serve.rejected.overload],
-    [serve.rejected.client], [serve.rejected.drain], [serve.parse_error],
-    [serve.errors]; gauges [serve.queue_depth], [serve.batch_width],
-    [serve.concurrency] (batches in flight) and [serve.concurrency.max]
-    (its high-water mark), [serve.latency.p50_ns], [serve.latency.p99_ns];
-    timers [serve.solve] (per batch) and [serve.latency] (per request,
-    admission to response, memo answers included). The same numbers are
-    visible per-server through {!stats_json} / the [stats] request, where
-    memo answers are [memo_hits]. *)
+    Each server records every event once, into its own
+    [Bfly_obs.Metrics] registry: counters [serve.requests],
+    [serve.responses], [serve.batches], [serve.coalesced],
+    [serve.joined_inflight] (duplicates that joined a batch already
+    solving), [serve.memo_hits] (requests answered from the memo of
+    finished outputs), [serve.rejected.overload], [serve.rejected.client],
+    [serve.rejected.drain], [serve.parse_error], [serve.errors]; timers
+    [serve.solve] (per batch) and [serve.latency] (per request, admission
+    to response, memo answers included). {!stats_json} and {!summary}
+    read that registry; [Bfly_obs.Metrics.snapshot] (hence [--metrics])
+    adds every server's into the process-wide [serve.*] totals. Latency
+    quantiles cover every request since the server was created, not a
+    window of recent ones, and come from the timer's histogram: each the
+    lower edge of its bucket, at most 6.25% below the exact nearest-rank
+    value; [max_ns] is exact. Gauges [serve.queue_depth],
+    [serve.batch_width], [serve.concurrency] (batches in flight) and
+    [serve.concurrency.max] (its high-water mark) are process-wide. *)
 
 type t
 
@@ -69,14 +75,11 @@ val create : ?queue_bound:int -> ?client_bound:int -> unit -> t
     [BFLY_SERVE_CLIENT_QUEUE], else to [queue_bound] (i.e. no extra
     per-client restriction until configured). *)
 
-val queue_bound : t -> int
-val client_bound : t -> int
-
 val client : ?name:string -> ?limit:int -> t -> client
 (** A fresh admission handle for one connection ([limit] overrides the
-    server's [client_bound]). Handles are cheap and need no teardown: a
-    disconnected client's in-flight requests release their slots when
-    their batches complete. *)
+    server's [client_bound]; [name] is not kept). Handles are cheap and
+    need no teardown: a disconnected client's in-flight requests release
+    their slots when their batches complete. *)
 
 val submit : t -> ?client:client -> reply:(string -> unit) -> string -> unit
 (** Parse and enqueue one request line. [reply] receives every response
@@ -121,10 +124,11 @@ val draining : t -> bool
 
 val stats_json : t -> Bfly_obs.Json.t
 (** The live introspection object served to [stats] requests: this
-    server's request/response/batch/memo/rejection tallies, queue depth
-    and bounds, batches in flight, draining flag, latency quantiles, and
-    the process-wide [cache.hit]/[cache.miss] counters. The latency window
-    is copied under the server lock and sorted outside it. *)
+    server's request/response/batch/memo/rejection counters and latency
+    quantiles (count, p50, p99, max) from its registry, queue depth and
+    bounds, batches in flight, draining flag, and the process-wide
+    [cache.hit]/[cache.miss] counters. Only the queue depth and the
+    batches in flight are read under the server lock. *)
 
 val summary : t -> string
 (** One human line for the drain log, e.g.

@@ -11,8 +11,19 @@ let c_disconnects = Metrics.counter "serve.disconnects"
 let c_write_fail = Metrics.counter "serve.write_fail"
 let c_write_drop = Metrics.counter "serve.write_drop"
 let c_oversized = Metrics.counter "serve.oversized"
+let c_refused = Metrics.counter "serve.refused"
+let c_accept_paused = Metrics.counter "serve.accept_paused"
 
 let default_max_line = 262144
+
+let max_conns = 256
+
+(* [select] fails with EINVAL for a set holding a descriptor >= FD_SETSIZE *)
+let watchable fd =
+  match Unix.select [ fd ] [] [] 0. with
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINVAL, _, _) -> false
+  | exception Unix.Unix_error _ -> true
 
 let install_drain_handlers server =
   let drain _ = Server.drain server in
@@ -46,7 +57,6 @@ type conn = {
   rfd : Unix.file_descr;  (* read side; the select key *)
   wfd : Unix.file_descr;  (* write side; same fd except for stdio *)
   is_stdio : bool;
-  peer : string;
   admission : Server.client;
   (* write-side state, shared with the pool domains delivering
      responses; guarded by [wlock] *)
@@ -61,13 +71,12 @@ type conn = {
   mutable read_eof : bool; (* client half-closed; responses still owed *)
 }
 
-let make_conn ?(is_stdio = false) ~server ~peer ~rfd ~wfd () =
+let make_conn ?(is_stdio = false) ~server ~rfd ~wfd () =
   {
     rfd;
     wfd;
     is_stdio;
-    peer;
-    admission = Server.client ~name:peer server;
+    admission = Server.client server;
     wlock = Mutex.create ();
     closed = false;
     deliver_seq = 0;
@@ -143,6 +152,10 @@ let reject_oversized ~max_line c () =
     (Protocol.error_response ~id:"oversized"
        (Printf.sprintf "request line exceeds %d bytes" max_line))
 
+let refusal =
+  Protocol.error_response ~id:"refused"
+    (Printf.sprintf "too many connections (%d)" max_conns)
+
 (* Split [chunk] (appended to the connection's buffered partial) into
    complete lines for [submit]. The read is bounded: a line longer than
    [max_line] is rejected once (via [reject]) without ever being
@@ -193,14 +206,15 @@ let unix_listener ~path =
      raise e);
   { lfd = fd; unlink_on_close = Some path }
 
+let inet_addr host =
+  try Unix.inet_addr_of_string host
+  with Failure _ -> (
+    match Unix.getaddrinfo host "" [ Unix.AI_FAMILY Unix.PF_INET ] with
+    | { Unix.ai_addr = Unix.ADDR_INET (a, _); _ } :: _ -> a
+    | _ -> failwith (Printf.sprintf "cannot resolve host %S" host))
+
 let tcp_listener ?port_file ~host ~port () =
-  let inet =
-    try Unix.inet_addr_of_string host
-    with Failure _ -> (
-      match Unix.getaddrinfo host "" [ Unix.AI_FAMILY Unix.PF_INET ] with
-      | { Unix.ai_addr = Unix.ADDR_INET (a, _); _ } :: _ -> a
-      | _ -> failwith (Printf.sprintf "cannot resolve host %S" host))
-  in
+  let inet = inet_addr host in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt fd Unix.SO_REUSEADDR true;
@@ -224,11 +238,6 @@ let tcp_listener ?port_file ~host ~port () =
   Printf.eprintf "bfly_serve: listening on tcp:%s:%d\n%!" shost sport;
   { lfd = fd; unlink_on_close = None }
 
-let peer_name = function
-  | Unix.ADDR_UNIX _ -> "unix"
-  | Unix.ADDR_INET (a, p) ->
-      Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
-
 (* ---- the loop ---- *)
 
 let run ?(block_timeout = 0.5) ?workers ?(max_line = default_max_line) server
@@ -240,7 +249,7 @@ let run ?(block_timeout = 0.5) ?workers ?(max_line = default_max_line) server
   let stdio_conn =
     if with_stdio then begin
       let c =
-        make_conn ~is_stdio:true ~server ~peer:"stdio" ~rfd:Unix.stdin
+        make_conn ~is_stdio:true ~server ~rfd:Unix.stdin
           ~wfd:Unix.stdout ()
       in
       Hashtbl.replace conns c.rfd c;
@@ -249,6 +258,10 @@ let run ?(block_timeout = 0.5) ?workers ?(max_line = default_max_line) server
     else None
   in
   let listener_fds = List.map (fun l -> l.lfd) listeners in
+  (* after EMFILE/ENFILE the listeners stay unwatched until a connection
+     closes or one idle period passes: the pending connection keeps its
+     listener readable, so watching it would spin on a failing accept *)
+  let resume_at = ref 0. in
   let reap () =
     let dead =
       Hashtbl.fold
@@ -256,6 +269,7 @@ let run ?(block_timeout = 0.5) ?workers ?(max_line = default_max_line) server
           if is_closed c || (c.read_eof && settled c) then c :: acc else acc)
         conns []
     in
+    if dead <> [] then resume_at := 0.;
     List.iter
       (fun c ->
         Hashtbl.remove conns c.rfd;
@@ -284,7 +298,8 @@ let run ?(block_timeout = 0.5) ?workers ?(max_line = default_max_line) server
             else fd :: acc)
           conns []
       in
-      listener_fds @ conn_fds
+      if Unix.gettimeofday () < !resume_at then conn_fds
+      else listener_fds @ conn_fds
   in
   let buf = Bytes.create 65536 in
   let read_conn c =
@@ -308,13 +323,22 @@ let run ?(block_timeout = 0.5) ?workers ?(max_line = default_max_line) server
   in
   let accept_conn l =
     match Unix.accept l.lfd with
-    | fd, addr ->
+    | fd, _ when Hashtbl.length conns >= max_conns || not (watchable fd) ->
+        (* at the cap: one structured refusal, then close, so the client
+           learns why instead of waiting on a connection nobody reads *)
+        Metrics.incr c_refused;
+        (try write_all fd (refusal ^ "\n") with Unix.Unix_error _ | Exit -> ());
+        (try Unix.close fd with Unix.Unix_error _ -> ())
+    | fd, _ ->
         Metrics.incr c_accepted;
         (* batch replies are latency-sensitive single lines *)
         (try Unix.setsockopt fd Unix.TCP_NODELAY true
          with Unix.Unix_error _ | Invalid_argument _ -> ());
-        let c = make_conn ~server ~peer:(peer_name addr) ~rfd:fd ~wfd:fd () in
+        let c = make_conn ~server ~rfd:fd ~wfd:fd () in
         Hashtbl.replace conns fd c
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+        Metrics.incr c_accept_paused;
+        resume_at := Unix.gettimeofday () +. block_timeout
     | exception
         Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
       ->
@@ -347,10 +371,13 @@ let run ?(block_timeout = 0.5) ?workers ?(max_line = default_max_line) server
     reap ();
     match watch_fds () with
     | [] ->
-        (* no input left (drain, or every source gone): finish what is
-           queued and wait for in-flight batches to answer *)
+        (* no input left (drain, every source gone, or the listeners
+           paused with no connection to close): finish what is queued,
+           wait for in-flight batches to answer, and sit out the pause *)
         Dispatch.pump dispatch;
-        Dispatch.wait_idle dispatch
+        Dispatch.wait_idle dispatch;
+        let pause = !resume_at -. Unix.gettimeofday () in
+        if pause > 0. then Unix.sleepf pause
     | fds ->
         (* block only when idle: while batches solve elsewhere, keep the
            loop responsive so new arrivals still coalesce and pump *)
@@ -396,9 +423,6 @@ let serve ?block_timeout ?workers ?max_line ?(stdio = false) ?unix_path ?tcp
   if listeners = [] && not stdio then
     invalid_arg "Transport.serve: no transport selected";
   run ?block_timeout ?workers ?max_line server ~listeners ~with_stdio:stdio
-
-let stdio ?block_timeout ?workers ?max_line server =
-  serve ?block_timeout ?workers ?max_line ~stdio:true server
 
 let socket ?block_timeout ?workers ?max_line server ~path =
   serve ?block_timeout ?workers ?max_line ~unix_path:path server

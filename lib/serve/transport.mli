@@ -31,6 +31,17 @@
     and still read every response it is owed; the connection is closed
     once the last one is written.
 
+    {2 Connection limits}
+
+    [Unix.select] cannot watch a descriptor at or above FD_SETSIZE
+    (1,024), so the loop watches at most {!max_conns} connections and
+    refuses any it could not watch: one structured error line
+    ([{"id":"refused","ok":false,"error":"too many connections (256)"}]),
+    then close, counted in [serve.refused]. On EMFILE/ENFILE from
+    [accept] it stops watching the listeners until a connection closes or
+    one [block_timeout] passes, counted in [serve.accept_paused]; pending
+    connections wait in the listen backlog. Neither ends the server.
+
     {2 Failure accounting}
 
     A client that disconnects abruptly mid-batch costs nothing but
@@ -51,6 +62,10 @@
     written, then the loop returns. SIGPIPE is ignored (write errors
     surface as [serve.write_fail] instead). The caller is expected to
     log {!Server.summary} afterwards. *)
+
+val max_conns : int
+(** 256: a quarter of FD_SETSIZE, since the process's other descriptors
+    (cache files, an embedding program's sockets) share the numbering. *)
 
 val serve :
   ?block_timeout:float ->
@@ -78,11 +93,6 @@ val serve :
     loop exactly); [block_timeout] is the idle [select] granularity in
     seconds (default 0.5), which bounds drain-signal reaction time. *)
 
-val stdio :
-  ?block_timeout:float -> ?workers:int -> ?max_line:int -> Server.t -> unit
-(** [serve ~stdio:true]: one NDJSON session over stdin/stdout (stderr
-    stays free for logs). *)
-
 val socket :
   ?block_timeout:float ->
   ?workers:int ->
@@ -92,3 +102,13 @@ val socket :
   unit
 (** [serve ~unix_path:path]: accept any number of concurrent clients on
     a Unix-domain socket. *)
+
+(** {1 Socket helpers, shared with {!Loadgen}} *)
+
+val inet_addr : string -> Unix.inet_addr
+(** A dotted address or a host name resolved to IPv4; [Failure] when it
+    does not resolve. *)
+
+val write_all : Unix.file_descr -> string -> unit
+(** Write the whole string, retrying on EINTR; [Exit] when the peer takes
+    nothing, [Unix.Unix_error] on failure. *)

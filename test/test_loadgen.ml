@@ -154,14 +154,90 @@ let test_compare_gates_determinism () =
   checkb "output drift always fails" true
     (Loadgen.compare_docs ~timing:false ~baseline:forged doc <> [])
 
+(* The document's digests are plain 64-bit FNV-1a over newline-terminated
+   lines, through Bfly_cache.Fingerprint's untagged stream: the textbook
+   vectors pin the hash, so every committed fingerprint stays put. *)
 let test_fingerprint_primitives () =
+  let module Fp = Bfly_cache.Fingerprint in
+  let fnv s = Fp.to_hex (Fp.bytes Fp.seed s) in
+  List.iter
+    (fun (s, hex) -> Alcotest.(check string) ("FNV-1a of " ^ String.escaped s) hex (fnv s))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c"); ("foobar", "85944171f73967e8") ];
   Alcotest.(check string)
-    "fnv64 is stable" (Loadgen.fnv64 "butterfly") (Loadgen.fnv64 "butterfly");
-  checkb "fnv64 separates" true
-    (Loadgen.fnv64 "butterfly" <> Loadgen.fnv64 "butterflz");
+    "lines are newline-terminated bytes" (fnv "a\nb\n")
+    (Loadgen.fingerprint_lines [ "a"; "b" ]);
+  checkb "fnv64 separates" true (fnv "butterfly" <> fnv "butterflz");
   checkb "line digest order-sensitive" true
     (Loadgen.fingerprint_lines [ "a"; "b" ]
     <> Loadgen.fingerprint_lines [ "b"; "a" ])
+
+(* Quantiles cover answered requests only. A fake server on a Unix
+   socket answers each connection's first line after [delay], then hangs
+   up; every recorded latency is then at least [delay], while the
+   unanswered requests (most of the schedule) used to enter the
+   quantiles as 0 ns and pull p50 to 0. The replay is paced, so clients
+   still write after the hang-up: that must cost their answers (EPIPE),
+   not the process (SIGPIPE). *)
+let test_connect_unanswered () =
+  let delay = 0.005 in
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "bfly-loadgen-fake-%d" (Unix.getpid ()))
+  in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 16;
+  let stop = Atomic.make false in
+  let answer_first fd =
+    let ic = Unix.in_channel_of_descr fd in
+    (match In_channel.input_line ic with
+    | Some _ ->
+        Thread.delay delay;
+        let line = {|{"id":"x","ok":true,"batch":1,"output":"o"}|} ^ "\n" in
+        ignore (Unix.write_substring fd line 0 (String.length line))
+    | None -> ());
+    Unix.close fd
+  in
+  let acceptor =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop) do
+          match Unix.select [ lfd ] [] [] 0.02 with
+          | [], _, _ -> ()
+          | _ -> ignore (Thread.create answer_first (fst (Unix.accept lfd)))
+        done)
+      ()
+  in
+  let doc =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        Thread.join acceptor;
+        Unix.close lfd;
+        try Unix.unlink path with Unix.Unix_error _ -> ())
+      (fun () ->
+        match
+          Loadgen.run ~seed:3 ~clients:2 ~repeat:4 ~qps:200.
+            ~mode:(Loadgen.Connect (`Unix path)) ~trace ()
+        with
+        | Ok doc -> doc
+        | Error e -> Alcotest.failf "loadgen run failed: %s" e)
+  in
+  let answered = int_ doc "responses" in
+  checkb "some requests unanswered" true (answered < int_ doc "requests");
+  checkb "some answered" true (answered > 0);
+  let timing k =
+    match Option.bind (Json.member "timing" doc) (Json.member k) with
+    | Some (Json.Int v) -> v
+    | _ -> Alcotest.failf "timing lacks %s" k
+  in
+  let floor_ns = int_of_float (delay *. 1e9 *. 15. /. 16.) in
+  List.iter
+    (fun k ->
+      checkb (Printf.sprintf "%s covers only answered requests" k) true
+        (timing k >= floor_ns))
+    [ "p50_ns"; "p90_ns"; "p99_ns"; "max_ns" ]
 
 let suite =
   [
@@ -176,4 +252,6 @@ let suite =
     slow_case "compare fails deterministic drift unconditionally"
       test_compare_gates_determinism;
     case "fingerprint primitives" test_fingerprint_primitives;
+    case "connect: quantiles cover only the answered requests"
+      test_connect_unanswered;
   ]

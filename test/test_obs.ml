@@ -106,6 +106,71 @@ let test_metrics_json_shape () =
   checkb "counters sorted" true (sorted (List.map fst snap.Metrics.counters));
   checkb "timers sorted" true (sorted (List.map fst snap.Metrics.timers))
 
+(* ---- timer histograms ---- *)
+
+(* The reference bucket edge: a value's top five bits, the rest cleared
+   (a value below 32 is its own edge): 16 linear sub-buckets per power of
+   two from 16 up. *)
+let rec lower_edge ?(shift = 0) v =
+  if v < 32 then v lsl shift else lower_edge ~shift:(shift + 1) (v lsr 1)
+
+let fresh_timer () = Metrics.timer ~registry:(Metrics.registry ()) "test.obs.histogram"
+
+let recorded samples =
+  let t = fresh_timer () in
+  List.iter (fun ns -> Metrics.record t ~ns) samples;
+  Metrics.timer_stat t
+
+(* Timer quantiles against a sorted-array nearest-rank reference, over
+   samples mixing 0, values below 16 ns, everyday spans, values near
+   max_int and one value repeated: each quantile is the lower edge of the
+   exact value's bucket, hence at most 6.25% below it and exact under
+   16 ns, and the count, total and max are exact. Each run records into a
+   timer of its own registry. *)
+let test_histogram_quantiles =
+  qcheck ~count:200 "timer quantiles are the nearest rank's bucket edge"
+    (seeded QCheck2.Gen.(int_range 1 300))
+    (fun (n, seed) ->
+      let rng = rng seed in
+      let draw () =
+        match Random.State.int rng 5 with
+        | 0 -> 0
+        | 1 -> Random.State.int rng 16
+        | 2 -> Random.State.int rng 50_000_000
+        | 3 -> max_int - Random.State.int rng 1_000_000
+        | _ -> 4_242
+      in
+      let samples = List.init n (fun _ -> draw ()) in
+      let st = recorded samples in
+      let sorted = Array.of_list (List.sort Int.compare samples) in
+      let agrees q got =
+        let exact = nearest_rank sorted q in
+        got = lower_edge exact
+        && got <= exact
+        && exact - got <= exact / 16
+        && (exact >= 16 || got = exact)
+      in
+      st.Metrics.count = n
+      && st.max_ns = sorted.(n - 1)
+      && st.total_ns = List.fold_left ( + ) 0 samples (* wraps as the timer's does *)
+      && agrees 0.5 st.p50_ns && agrees 0.9 st.p90_ns && agrees 0.99 st.p99_ns)
+
+(* The cases of the ring reservoir the histogram replaced: the window
+   93..100 reads p50 96 and p99 100 (one sample per 4-ns bucket edge
+   there), p50 of two samples is the smaller, and an unused timer reads
+   0 throughout. *)
+let test_histogram_cases () =
+  let st = recorded (List.init 8 (fun i -> 93 + i)) in
+  check "p50 of 93..100" 96 st.Metrics.p50_ns;
+  check "p99 of 93..100" 100 st.p99_ns;
+  check "max of 93..100" 100 st.max_ns;
+  check "count of 93..100" 8 st.count;
+  let two = recorded [ 20; 10 ] in
+  check "p50 of two samples" 10 two.p50_ns;
+  check "p99 of two samples" 20 two.p99_ns;
+  let none = Metrics.timer_stat (fresh_timer ()) in
+  check "empty timer" 0 (none.count + none.max_ns + none.p50_ns + none.p99_ns)
+
 let suite =
   [
     case "counter atomic under domains" test_counter_atomic;
@@ -116,4 +181,6 @@ let suite =
     case "json serialization" test_json_serialization;
     case "metrics json shape" test_metrics_json_shape;
     case "json decimal is string_of_int" test_json_decimal;
+    test_histogram_quantiles;
+    case "histogram: the reservoir's cases" test_histogram_cases;
   ]

@@ -11,14 +11,16 @@
 module Server = Bfly_serve.Server
 module Job = Bfly_serve.Job
 module Protocol = Bfly_serve.Protocol
-module Latency = Bfly_serve.Latency
 module Json = Bfly_obs.Json
 module Metrics = Bfly_obs.Metrics
 module Config = Bfly_cache.Config
 module Store = Bfly_cache.Store
 open Tu
 
-let counter name = Metrics.counter_value (Metrics.counter name)
+(* a counter's process-wide value: the [serve.*] counters live in each
+   server's registry, which the snapshot adds up *)
+let counter name =
+  Option.value ~default:0 (List.assoc_opt name (Metrics.snapshot ()).counters)
 
 (* Isolate each case in its own empty cache directory (same discipline as
    test_cache.ml): serve results must not depend on what earlier suites
@@ -381,24 +383,28 @@ let test_solver_errors () =
 (* Ambiguous request documents must be rejected outright: Json.member is
    first-key-wins, so a duplicate key would silently drop the later value
    — a malformed request, not a preference (bugfix for json.mli's
-   documented first-wins lookup). *)
+   documented first-wins lookup). The rejection is answered under the
+   request's id when that id occurs once at the top level, so a client
+   matching answers by id can attribute it; a repeated id gets the
+   server's default, here the second request's "r2". *)
 let test_duplicate_key_rejected () =
   with_fresh_cache @@ fun () ->
   let server = Server.create () in
   List.iter
-    (fun (line, key) ->
+    (fun (line, key, id) ->
       let obj = parse_response (List.hd (replay server [ line ])) in
       checkb (Printf.sprintf "rejected %s" line) false (bool_field obj "ok");
       Alcotest.(check string)
         "names the duplicated key"
         (Printf.sprintf "duplicate key %S in request object" key)
-        (str_field obj "error"))
+        (str_field obj "error");
+      Alcotest.(check string) "answered under" id (str_field obj "id"))
     [
       ({|{"id":"d1","job":"bw","solver":"ml","network":"mesh:4x4","seed":1,"seed":2}|},
-       "seed");
-      ({|{"id":"d2","id":"d2b","job":"mos","j":2}|}, "id");
+       "seed", "d1");
+      ({|{"id":"d2","id":"d2b","job":"mos","j":2}|}, "id", "r2");
       (* nested duplicates are screened too: the scan is depth-first *)
-      ({|{"id":"d3","job":"mos","j":2,"extra":{"a":1,"a":2}}|}, "a");
+      ({|{"id":"d3","job":"mos","j":2,"extra":{"a":1,"a":2}}|}, "a", "d3");
     ];
   (* same fields without duplication still parse *)
   let ok_line = {|{"id":"d4","job":"mos","j":2}|} in
@@ -486,7 +492,7 @@ let committed_keys =
         ({|dc-ee|}, {|exp.ee/mesh:3x3/0?k=4&exact=true&seed=1|});
         ({|dc-bad-n|}, {|error: field "n" must be omitted for fabric networks (the spec fixes the size)|});
         ({|dc-bad-ring|}, {|error: Fabric: ring dimensions must be >= 3|});
-        ({|-|}, {|error: duplicate key "seed" in request object|});
+        ({|dc-bad-dup|}, {|error: duplicate key "seed" in request object|});
         ({|dc-campaign|}, {|campaign/3?sizes=16,24&seeds=2|});
         ({|dc-campaign-dup|}, {|campaign/3?sizes=16,24&seeds=2|});
         ({|dc-campaign-capped|}, {|error: served campaign sizes are capped at n <= 1024|});
@@ -1021,25 +1027,44 @@ let test_memo_concurrent () =
     graphs;
   checkb "the memo holds it" true (first == fst (graph_of net 0))
 
-(* Latency reservoir: quantiles are ranks over the recorded window. *)
-let test_latency_quantiles () =
-  let l = Latency.create ~capacity:8 () in
-  for i = 1 to 100 do
-    Latency.record l ~ns:i
-  done;
-  check "lifetime count" 100 (Latency.count l);
-  check "lifetime max" 100 (Latency.max_ns l);
-  (* window holds 93..100; the nearest rank of q=0.5 over 8 samples is
-     ceil(0.5 * 8) = 4, i.e. index 3 *)
-  check "p50 over window" 96 (Latency.p l ~q:0.5);
-  check "p99 over window" 100 (Latency.p l ~q:0.99);
-  check "empty reservoir" 0 (Latency.p (Latency.create ()) ~q:0.5);
-  (* q·n whole: p50 of two samples is the smaller one *)
-  let two = Latency.create () in
-  Latency.record two ~ns:20;
-  Latency.record two ~ns:10;
-  check "p50 of two samples" 10 (Latency.p two ~q:0.5);
-  check "p100 of two samples" 20 (Latency.p two ~q:1.0)
+(* Two servers in one process: each reports only its own requests in
+   [stats], while the process-wide [serve.*] view (what --metrics prints)
+   is their sum — every request recorded once, in its server's registry. *)
+let test_two_servers_own_stats () =
+  with_fresh_cache @@ fun () ->
+  let timer name =
+    match List.assoc_opt name (Metrics.snapshot ()).Metrics.timers with
+    | Some (st : Metrics.timer_stat) -> st.count
+    | None -> 0
+  in
+  let req0 = counter "serve.requests" and memo0 = counter "serve.memo_hits" in
+  let lat0 = timer "serve.latency" in
+  let a = Server.create () and b = Server.create () in
+  let line = {|{"job":"mos","j":2}|} in
+  (* one solve each, then answers from each server's own memo *)
+  List.iter (fun l -> ignore (replay a [ l ])) [ line; line; line ];
+  List.iter (fun l -> ignore (replay b [ l ])) [ line; line; {|{"job":"mos","j":0}|} ];
+  ignore (replay b [ {|{"job":"mos"|} ]);
+  let own server k = int_field (Server.stats_json server) k in
+  check "a: its own requests" 3 (own a "requests");
+  check "b: its own requests" 4 (own b "requests");
+  check "a: its own batch" 1 (own a "batches");
+  check "b: its own batches" 2 (own b "batches");
+  check "a: its memo answers" 2 (own a "memo_hits");
+  check "b: one memo answer" 1 (own b "memo_hits");
+  check "b: its own error" 1 (own b "errors");
+  check "b: its own parse error" 1 (own b "parse_errors");
+  check "a: nothing of b's" 0 (own a "errors" + own a "parse_errors");
+  let latency server =
+    match Json.member "latency" (Server.stats_json server) with
+    | Some l -> int_field l "count"
+    | None -> Alcotest.fail "stats lacks latency object"
+  in
+  check "a: one latency per answered job" 3 (latency a);
+  check "b: one latency per answered job" 3 (latency b);
+  check "process requests = a + b" 7 (counter "serve.requests" - req0);
+  check "process memo answers = a + b" 3 (counter "serve.memo_hits" - memo0);
+  check "process latency count = a + b" 6 (timer "serve.latency" - lat0)
 
 (* ---- the memo of finished outputs ---- *)
 
@@ -1192,10 +1217,12 @@ let test_memo_after_verdicts () =
   check "drain tally" 1 (int_field rejected "drain");
   check "one memo answer" 1 (stats_int server "memo_hits")
 
-(* The stats latency quantiles: nearest-rank over the window, each at or
-   below the same quantile of the latencies the caller saw (the server
-   times a request from admission to its answer, inside the caller's
-   span), and read identically by the gauges and the summary line. *)
+(* The stats latency quantiles: nearest-rank, read from the server's
+   latency timer, each at or below the same quantile of the latencies the
+   caller saw (the server times a request from admission to its answer,
+   inside the caller's span, and a quantile is its bucket's lower edge),
+   and read identically by the summary line. (The name is older than the
+   removal of the two gauges that used to repeat p50 and p99.) *)
 let test_stats_latency () =
   with_fresh_cache @@ fun () ->
   let server = Server.create () in
@@ -1223,12 +1250,9 @@ let test_stats_latency () =
   check "count" 12 (int_field lat "count");
   checkb "0 <= p50 <= p99 <= max" true
     (0 <= p50 && p50 <= p99 && p99 <= max_ns);
-  checkb "p50 within the caller's" true (p50 <= Latency.quantile seen 0.5);
-  checkb "p99 within the caller's" true (p99 <= Latency.quantile seen 0.99);
+  checkb "p50 within the caller's" true (p50 <= nearest_rank seen 0.5);
+  checkb "p99 within the caller's" true (p99 <= nearest_rank seen 0.99);
   checkb "max within the caller's" true (max_ns <= seen.(11));
-  let gauge name = int_of_float (Metrics.gauge_value (Metrics.gauge name)) in
-  check "p50 gauge" p50 (gauge "serve.latency.p50_ns");
-  check "p99 gauge" p99 (gauge "serve.latency.p99_ns");
   let ms ns = float_of_int ns /. 1e6 in
   Alcotest.(check string)
     "summary"
@@ -1505,6 +1529,65 @@ let test_memo_answer_budget () =
       ({|{"id":"q18","job":"ee","network":"mesh:4x5","k":3,"exact":true}|}, 1_119);
     ]
 
+(* Descriptor exhaustion ends no server. [Unix.select] fails with EINVAL
+   for a descriptor at or above FD_SETSIZE, and before the connection cap
+   1,046 idle TCP connections ended [bfly_tool serve] with that error
+   (exit 125). Now the cap's 256 idle connections are watched, the ten
+   beyond them each get one structured refusal line and are closed, and
+   once the idle ones close a fresh client is answered. *)
+let test_connection_cap () =
+  with_fresh_cache @@ fun () ->
+  let server = Server.create () in
+  let cap = Transport.max_conns in
+  let wait_for what pred =
+    let deadline = Unix.gettimeofday () +. 20. in
+    while (not (pred ())) && Unix.gettimeofday () < deadline do
+      Thread.delay 0.005
+    done;
+    if not (pred ()) then Alcotest.failf "timed out waiting for %s" what
+  in
+  let accepted0 = counter "serve.accepted" and refused0 = counter "serve.refused" in
+  let gone0 = counter "serve.disconnects" in
+  with_server ~server ~listen:`Tcp (fun addr ->
+      (* connect in steps the 64-deep listen backlog absorbs *)
+      let idle =
+        List.concat_map
+          (fun step ->
+            let fds = List.init 32 (fun _ -> connect addr) in
+            wait_for "accepts" (fun () ->
+                counter "serve.accepted" - accepted0 >= 32 * (step + 1));
+            fds)
+          (List.init (cap / 32) Fun.id)
+      in
+      check "the cap's connections are watched" cap
+        (counter "serve.accepted" - accepted0);
+      List.iter
+        (fun fd ->
+          (* a connection wrongly watched must fail the read, not hang it *)
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+          let ic = Unix.in_channel_of_descr fd in
+          Alcotest.(check (option string))
+            "one refusal line"
+            (Some
+               (Printf.sprintf
+                  {|{"id":"refused","ok":false,"error":"too many connections (%d)"}|}
+                  cap))
+            (In_channel.input_line ic);
+          Alcotest.(check (option string))
+            "then closed" None (In_channel.input_line ic);
+          Unix.close fd)
+        (List.init 10 (fun _ -> connect addr));
+      check "ten refused" 10 (counter "serve.refused" - refused0);
+      List.iter Unix.close idle;
+      wait_for "the idle connections' reaping" (fun () ->
+          counter "serve.disconnects" - gone0 >= cap);
+      match client_session addr [ {|{"id":"fresh","job":"mos","j":2}|} ] with
+      | [ line ] ->
+          let obj = parse_response line in
+          checkb "a fresh client is answered" true (bool_field obj "ok");
+          Alcotest.(check string) "under its id" "fresh" (str_field obj "id")
+      | _ -> Alcotest.fail "one answer expected")
+
 let suite =
   [
     slow_case "replay: 120 requests coalesce, bytes match one-shot"
@@ -1519,7 +1602,8 @@ let suite =
     case "fabric jobs: byte-identity, n rejected, expansion"
       test_fabric_jobs;
     case "solver errors match the one-shot CLI" test_solver_errors;
-    case "latency reservoir quantiles" test_latency_quantiles;
+    case "stats: two servers keep their own, the process view sums them"
+      test_two_servers_own_stats;
     case "graph memo: shared below the size cap, fresh above"
       test_memo_size_cap;
     case "graph memo: fabric spellings are separate entries"
@@ -1569,4 +1653,6 @@ let suite =
       test_field_errors;
     case "admission: minor-word budget for a memo answer, bw and fabric ee"
       test_memo_answer_budget;
+    slow_case "transport: connections past the cap are refused, not fatal"
+      test_connection_cap;
   ]

@@ -51,3 +51,13 @@ let random_subset ~rng n k =
    differential-oracle layer now builds on; this alias keeps the test
    suites reading the same. *)
 let brute_bw g = fst (Bfly_check.Reference.bisection_width g)
+
+(* Nearest-rank quantile of an ascending array: the element at index
+   ceil(q·n) - 1, so p50 of two samples is the smaller one; 0 when empty.
+   The reference [Bfly_obs.Metrics]'s histogram quantiles are held to. *)
+let nearest_rank sorted q =
+  let n = Array.length sorted in
+  if n = 0 then 0
+  else
+    let rank = int_of_float (ceil (q *. float_of_int n)) in
+    sorted.(max 0 (min (n - 1) (rank - 1)))
